@@ -2,8 +2,10 @@
 // calibrated *virtual*-time metrics, these measure the simulator itself:
 // wall ns/op, B/op and allocs/op for the three costs that bound sweep
 // throughput — building+booting a network, one REQUEST round trip, and a
-// full chaos sweep. BENCH_sweep.json records the trajectory; CI re-runs
-// them with -benchmem.
+// full chaos sweep. They are the profiling entry points (-benchmem,
+// -cpuprofile); the numbers of record for the same three paths come from
+// benchmark/ (core.boot_*, rtt_small allocs_per_op, chaos_sweep), which is
+// re-derived on every PR.
 package soda_test
 
 import (
@@ -92,8 +94,8 @@ func BenchmarkRequestRoundTrip(b *testing.B) {
 
 // BenchmarkChaosSweep measures a small sequential seed×plan sweep of the
 // fileserver scenario under generated fault plans — the unit of work
-// cmd/sodasweep shards across workers. runs/sec in BENCH_sweep.json comes
-// from the same engine.
+// cmd/sodasweep shards across workers, and the engine behind the
+// benchmark's chaos_sweep workload.
 func BenchmarkChaosSweep(b *testing.B) {
 	spec := sweep.Spec{
 		Scenario:  "fileserver",

@@ -9,7 +9,7 @@
 //	sodabench -table modcmp        # the SODA vs *MOD comparison (E3)
 //	sodabench -table deltat        # the Delta-t situations figure (E4)
 //	sodabench -table window        # the sliding-window sweep (DESIGN.md §11)
-//	sodabench -table lossywindow   # loss x window x recovery-mode sweep (DESIGN.md §12)
+//	sodabench -table lossywindow   # loss x window sweep, stop-and-wait vs the windowed engine (DESIGN.md §12)
 //	sodabench -ops 100             # more operations per cell
 //	sodabench -profile BENCH_table61.json   # machine-readable run profile
 //	sodabench -table none -profile f.json   # profile only, no tables
@@ -341,9 +341,9 @@ func writeLossyWindow(path string) error {
 }
 
 // checkLossyWindow re-measures the lossy sweep at the artifact's own batch
-// shape and enforces the robustness gates (LossySweep.Check): selective
-// repeat must degrade gracefully where go-back-N collapses, and a clean
-// wire must stay mode-identical. Used by the CI lossy-window-bench job.
+// shape and enforces the robustness gates (LossySweep.Check): the windowed
+// engine must degrade gracefully under loss and beat stop-and-wait at every
+// loss rate. Used by the CI lossy-window-bench job.
 func checkLossyWindow(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -366,21 +366,19 @@ func checkLossyWindow(path string) error {
 	// transport change and the artifact must be regenerated consciously.
 	for i := range got.Rows {
 		g := got.Rows[i]
-		w := want.Row(g.LossPct, g.Window, g.Mode)
+		w := want.Row(g.LossPct, g.Window)
 		if w == nil {
-			return fmt.Errorf("%s: missing row loss=%d%% window=%d mode=%s (regenerate the artifact)",
-				path, g.LossPct, g.Window, g.Mode)
+			return fmt.Errorf("%s: missing row loss=%d%% window=%d (regenerate the artifact)",
+				path, g.LossPct, g.Window)
 		}
 		if w.PerOpUS != g.PerOpUS {
-			return fmt.Errorf("row loss=%d%% window=%d mode=%s: measured %d us/op, artifact says %d us/op (deterministic virtual time — if the transport change is intentional, regenerate %s)",
-				g.LossPct, g.Window, g.Mode, g.PerOpUS, w.PerOpUS, path)
+			return fmt.Errorf("row loss=%d%% window=%d: measured %d us/op, artifact says %d us/op (deterministic virtual time — if the transport change is intentional, regenerate %s)",
+				g.LossPct, g.Window, g.PerOpUS, w.PerOpUS, path)
 		}
 	}
-	sel := got.Row(15, 8, "selective")
-	gbn := got.Row(15, 8, "gobackn")
-	if sel != nil && gbn != nil {
-		fmt.Printf("lossy-window check ok: at 15%% loss w=8 selective %.2fx vs clean, gobackn %.2fx\n",
-			sel.SlowdownVsClean, gbn.SlowdownVsClean)
+	if w8, sw := got.Row(15, 8), got.Row(15, 1); w8 != nil && sw != nil {
+		fmt.Printf("lossy-window check ok: at 15%% loss w=8 %.2fx vs clean, %d us/op vs stop-and-wait's %d\n",
+			w8.SlowdownVsClean, w8.PerOpUS, sw.PerOpUS)
 	}
 	return nil
 }

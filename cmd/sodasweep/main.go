@@ -8,7 +8,6 @@
 //	sodasweep -scenario philosophers -nodes 4,6,8
 //	sodasweep -seeds 16 -plans 4              # 16 seeds × (control + 4 chaos columns)
 //	sodasweep -workers 8 -out report.json     # shard across 8 workers
-//	sodasweep -bench BENCH_sweep.json         # also record sweep throughput
 //
 // The report is byte-identical for a given spec regardless of -workers:
 // every run is an isolated simulation, merged by run key. -check makes
@@ -25,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"soda/internal/deltat"
 	"soda/sweep"
 )
 
@@ -37,12 +37,11 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 	instrument := flag.Bool("instrument", false, "attach tracer+metrics and embed per-run profiles")
 	check := flag.Bool("check", true, "arm the invariant checkers; violations exit non-zero")
-	window := flag.Int("window", 0, "transport sliding-window depth on every node (<=1 = stop-and-wait)")
+	window := flag.Int("window", 0, fmt.Sprintf("transport sliding-window depth on every node (0 or 1 = stop-and-wait, at most %d; anything else is rejected)", deltat.MaxWindowMessages))
 	segments := flag.Int("segments", 0, "star-internetwork segment count (<=1 = single shared bus)")
 	forwardDelay := flag.Duration("forwarddelay", 0, "gateway store-and-forward delay; the conservative lookahead bound for -parworkers")
 	parWorkers := flag.Int("parworkers", 0, "intra-run parallel workers per simulation (needs -segments >= 2 and -forwarddelay > 0; <=1 = sequential)")
 	out := flag.String("out", "", "write the JSON report here (default stdout)")
-	benchOut := flag.String("bench", "", "write a BENCH_sweep.json throughput artifact here")
 	flag.Parse()
 
 	spec := sweep.Spec{
@@ -74,9 +73,9 @@ func main() {
 		w = runtime.GOMAXPROCS(0)
 	}
 
-	// Wall-clock timing measures the sweep engine itself (runs/sec for
-	// BENCH_sweep.json), never anything inside a simulation — every
-	// simulated instant comes from the virtual clock.
+	// Wall-clock timing measures the sweep engine itself (the runs/sec
+	// summary line), never anything inside a simulation — every simulated
+	// instant comes from the virtual clock.
 	start := time.Now() //lint:allow nowallclock (host-side throughput measurement of the engine, outside all simulations)
 	rep, err := sweep.Run(spec, w)
 	if err != nil {
@@ -100,9 +99,6 @@ func main() {
 	runsPerSec := float64(rep.Aggregate.Runs) / elapsed.Seconds()
 	fmt.Fprintf(os.Stderr, "sodasweep: %d runs on %d workers in %v (%.1f runs/sec)\n",
 		rep.Aggregate.Runs, w, elapsed.Round(time.Millisecond), runsPerSec)
-	if *benchOut != "" {
-		writeBench(*benchOut, rep, w, elapsed, runsPerSec)
-	}
 
 	if rep.Aggregate.Failed > 0 {
 		fatalf("%d runs failed", rep.Aggregate.Failed)
@@ -110,28 +106,6 @@ func main() {
 	if *check && rep.Aggregate.TotalViolations > 0 {
 		fatalf("%d invariant violations across the sweep", rep.Aggregate.TotalViolations)
 	}
-}
-
-// writeBench records sweep throughput alongside the recorded hot-path
-// baselines; see BENCH_sweep.json at the repo root for the format.
-func writeBench(path string, rep *sweep.Report, workers int, elapsed time.Duration, runsPerSec float64) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	fmt.Fprintf(f, `{
-  "sweep": {
-    "scenario": %q,
-    "runs": %d,
-    "workers": %d,
-    "wall_ms": %d,
-    "runs_per_sec": %.2f,
-    "frames_sent_total": %.0f
-  }
-}
-`, rep.Spec.Scenario, rep.Aggregate.Runs, workers, elapsed.Milliseconds(),
-		runsPerSec, rep.Aggregate.FramesSent.Mean*float64(rep.Aggregate.Runs))
 }
 
 func fatalf(format string, args ...any) {

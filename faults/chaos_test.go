@@ -283,87 +283,78 @@ func TestGeneratedPlanSeedSweep(t *testing.T) {
 }
 
 // TestBulkTransferLossSweep drives multi-fragment EXCHANGEs through the
-// windowed transport (DESIGN.md §12) under 10% and 30% frame loss, in
-// both recovery modes. The invariant checkers assert exactly-once
-// delivery holds regardless of how the holes were repaired — selective
-// repeat with SACK, or the legacy full-window go-back-N resend.
+// windowed transport (DESIGN.md §12) under 10% and 30% frame loss. The
+// invariant checkers assert exactly-once delivery holds while selective
+// repeat repairs the holes.
 func TestBulkTransferLossSweep(t *testing.T) {
 	pattern := soda.WellKnownPattern(0o6223)
-	for _, mode := range []struct {
-		name string
-		opt  soda.Option
-	}{
-		{"selective", soda.WithTransportRecovery(soda.RecoverySelective)},
-		{"gobackn", soda.WithTransportRecovery(soda.RecoveryGoBackN)},
-	} {
-		for _, loss := range []float64{0.1, 0.3} {
-			mode, loss := mode, loss
-			t.Run(fmt.Sprintf("%s/loss=%v", mode.name, loss), func(t *testing.T) {
-				nw := soda.NewNetwork(soda.WithSeed(13), soda.WithLoss(loss),
-					soda.WithTransportWindow(8), mode.opt, soda.WithInvariantChecks())
-				reply := make([]byte, 4000)
-				for i := range reply {
-					reply[i] = byte(i * 7)
-				}
-				nw.Register("sink", soda.Program{
-					Init: func(c *soda.Client, _ soda.MID) {
-						if err := c.Advertise(pattern); err != nil {
-							panic(err)
+	for _, loss := range []float64{0.1, 0.3} {
+		loss := loss
+		t.Run(fmt.Sprintf("selective/loss=%v", loss), func(t *testing.T) {
+			nw := soda.NewNetwork(soda.WithSeed(13), soda.WithLoss(loss),
+				soda.WithTransportWindow(8), soda.WithInvariantChecks())
+			reply := make([]byte, 4000)
+			for i := range reply {
+				reply[i] = byte(i * 7)
+			}
+			nw.Register("sink", soda.Program{
+				Init: func(c *soda.Client, _ soda.MID) {
+					if err := c.Advertise(pattern); err != nil {
+						panic(err)
+					}
+				},
+				Handler: func(c *soda.Client, ev soda.Event) {
+					if ev.Kind != soda.EventRequestArrival || ev.Pattern != pattern {
+						return
+					}
+					c.AcceptCurrentExchange(soda.OK, reply[:ev.GetSize], ev.PutSize)
+				},
+			})
+			successes := 0
+			nw.Register("client", soda.Program{
+				Task: func(c *soda.Client) {
+					put := make([]byte, 4000)
+					for i := range put {
+						put[i] = byte(i * 3)
+					}
+					for c.Now() < 5*time.Second {
+						srv, ok := c.Discover(pattern)
+						if !ok {
+							c.Hold(100 * time.Millisecond)
+							continue
 						}
-					},
-					Handler: func(c *soda.Client, ev soda.Event) {
-						if ev.Kind != soda.EventRequestArrival || ev.Pattern != pattern {
+						res := c.BExchange(srv, soda.OK, put, len(reply))
+						if res.Status != soda.StatusSuccess {
+							c.Hold(100 * time.Millisecond)
+							continue
+						}
+						if len(res.Data) != len(reply) {
+							t.Errorf("short bulk reply: %d bytes, want %d", len(res.Data), len(reply))
 							return
 						}
-						c.AcceptCurrentExchange(soda.OK, reply[:ev.GetSize], ev.PutSize)
-					},
-				})
-				successes := 0
-				nw.Register("client", soda.Program{
-					Task: func(c *soda.Client) {
-						put := make([]byte, 4000)
-						for i := range put {
-							put[i] = byte(i * 3)
-						}
-						for c.Now() < 5*time.Second {
-							srv, ok := c.Discover(pattern)
-							if !ok {
-								c.Hold(100 * time.Millisecond)
-								continue
-							}
-							res := c.BExchange(srv, soda.OK, put, len(reply))
-							if res.Status != soda.StatusSuccess {
-								c.Hold(100 * time.Millisecond)
-								continue
-							}
-							if len(res.Data) != len(reply) {
-								t.Errorf("short bulk reply: %d bytes, want %d", len(res.Data), len(reply))
+						for i := range res.Data {
+							if res.Data[i] != reply[i] {
+								t.Errorf("bulk reply corrupted at byte %d", i)
 								return
 							}
-							for i := range res.Data {
-								if res.Data[i] != reply[i] {
-									t.Errorf("bulk reply corrupted at byte %d", i)
-									return
-								}
-							}
-							successes++
 						}
-					},
-				})
-				nw.MustAddNode(1)
-				nw.MustAddNode(2)
-				nw.MustAddNode(3)
-				nw.MustBoot(1, "sink")
-				nw.MustBoot(2, "client")
-				nw.MustBoot(3, "client")
-				if err := nw.Run(7 * time.Second); err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				assertGreen(t, nw)
-				if successes == 0 {
-					t.Error("no bulk exchange ever completed")
-				}
+						successes++
+					}
+				},
 			})
-		}
+			nw.MustAddNode(1)
+			nw.MustAddNode(2)
+			nw.MustAddNode(3)
+			nw.MustBoot(1, "sink")
+			nw.MustBoot(2, "client")
+			nw.MustBoot(3, "client")
+			if err := nw.Run(7 * time.Second); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			assertGreen(t, nw)
+			if successes == 0 {
+				t.Error("no bulk exchange ever completed")
+			}
+		})
 	}
 }

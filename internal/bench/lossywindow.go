@@ -1,7 +1,7 @@
 // Lossy-window measurement: virtual time to complete a reliable bulk
-// transfer as a function of frame-loss rate, window depth, and recovery
-// mode (DESIGN.md §12). Unlike the clean window sweep (window.go), this
-// one drives the Delta-t transport directly: the kernel's streaming
+// transfer as a function of frame-loss rate and window depth (DESIGN.md
+// §12). Unlike the clean window sweep (window.go), this one drives the
+// Delta-t transport directly: the kernel's streaming
 // client caps outstanding REQUESTs at three, which never fills a deep
 // window, so recovery behavior only shows at the transport layer. Each
 // cell sends a fixed batch of multi-fragment messages over a uniformly
@@ -38,16 +38,16 @@ var DefaultLossPcts = []int{0, 5, 15, 30}
 // DefaultLossyWindows is the window-depth axis of the standard sweep.
 var DefaultLossyWindows = []int{1, 4, 8}
 
-// LossyRow is one (loss, window, mode) cell of the lossy sweep.
+// LossyRow is one (loss, window) cell of the lossy sweep.
 type LossyRow struct {
 	LossPct int `json:"loss_pct"`
 	Window  int `json:"window"`
-	// Mode is "stopwait" for window 1 (no fragments, no recovery mode),
-	// else the deltat.RecoveryMode name.
+	// Mode names the engine the window selects: "stopwait" for window 1
+	// (no fragments), "selective" for the windowed engine.
 	Mode    string `json:"mode"`
 	PerOpUS int64  `json:"per_op_us"`
 	// SlowdownVsClean is this row's per-op time divided by the same
-	// window+mode row at 0% loss — the recovery tax.
+	// window's row at 0% loss — the recovery tax.
 	SlowdownVsClean float64 `json:"slowdown_vs_clean"`
 	// Resubmits counts message-level retries: sends the transport failed
 	// (peer presumed dead) that the benchmark re-issued.
@@ -75,7 +75,7 @@ type LossySweep struct {
 // lossyCell runs one bulk transfer: ops messages of size bytes from MID 1
 // to MID 2 over a bus dropping each delivery with probability lossPct/100.
 // Failed sends are re-submitted until every message is acknowledged.
-func lossyCell(seed int64, bytes, ops, window, lossPct int, mode deltat.RecoveryMode) LossyRow {
+func lossyCell(seed int64, bytes, ops, window, lossPct int) LossyRow {
 	k := sim.New(seed)
 	k.SetEventLimit(64_000_000)
 	busCfg := bus.DefaultConfig()
@@ -83,7 +83,6 @@ func lossyCell(seed int64, bytes, ops, window, lossPct int, mode deltat.Recovery
 	b := bus.New(k, busCfg)
 	cfg := deltat.DefaultConfig()
 	cfg.Window = window
-	cfg.Recovery = mode
 	hooks := deltat.Hooks{OnData: func(frame.MID, []byte) deltat.Decision {
 		return deltat.Decision{Verdict: deltat.VerdictAck}
 	}}
@@ -120,20 +119,20 @@ func lossyCell(seed int64, bytes, ops, window, lossPct int, mode deltat.Recovery
 		sender.Send(2, p, nil, cb)
 	}
 	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("lossywindow cell (loss=%d%% w=%d %v): %v", lossPct, window, mode, err))
+		panic(fmt.Sprintf("lossywindow cell (loss=%d%% w=%d): %v", lossPct, window, err))
 	}
 	if acked != ops {
-		panic(fmt.Sprintf("lossywindow cell (loss=%d%% w=%d %v): acked %d/%d", lossPct, window, mode, acked, ops))
+		panic(fmt.Sprintf("lossywindow cell (loss=%d%% w=%d): acked %d/%d", lossPct, window, acked, ops))
 	}
 	st := b.Stats()
-	modeName := "stopwait"
+	mode := "stopwait"
 	if window > 1 {
-		modeName = mode.String()
+		mode = "selective"
 	}
 	return LossyRow{
 		LossPct:              lossPct,
 		Window:               window,
-		Mode:                 modeName,
+		Mode:                 mode,
 		PerOpUS:              doneAt.Microseconds() / int64(ops),
 		Resubmits:            resubmits,
 		FragRetransmits:      st.FragmentRetransmits,
@@ -144,10 +143,8 @@ func lossyCell(seed int64, bytes, ops, window, lossPct int, mode deltat.Recovery
 	}
 }
 
-// MeasureLossyWindow runs the full loss × window × mode sweep. Window 1
-// is measured once per loss rate (recovery mode is meaningless without
-// fragments); deeper windows are measured under both selective repeat
-// and go-back-N so the artifact pins their divergence.
+// MeasureLossyWindow runs the full loss × window sweep: window 1 is the
+// stop-and-wait transport, deeper windows the selective-repeat engine.
 func MeasureLossyWindow(bytes, ops int, windows, lossPcts []int) LossySweep {
 	if bytes <= 0 {
 		bytes = DefaultLossyBytes
@@ -163,32 +160,25 @@ func MeasureLossyWindow(bytes, ops int, windows, lossPcts []int) LossySweep {
 	}
 	const seed = 3
 	sweep := LossySweep{
-		Description: "Virtual time per message of a reliable bulk transfer vs frame-loss rate, window depth, and recovery mode (DESIGN.md §12). Selective repeat (SACK hole repair + AIMD window) must degrade gracefully where go-back-N collapses; at 0% loss the two modes are byte-identical on the wire. Deterministic virtual time: CI regenerates this file and compares exactly.",
+		Description: "Virtual time per message of a reliable bulk transfer vs frame-loss rate and window depth (DESIGN.md §12). The windowed engine (selective repeat: SACK hole repair + AIMD window) must degrade gracefully under loss and beat stop-and-wait at every loss rate. Deterministic virtual time: CI regenerates this file and compares exactly.",
 		Command:     fmt.Sprintf("go run ./cmd/sodabench -table none -lossywindow BENCH_lossywindow.json -ops %d", ops),
 		Bytes:       bytes,
 		Ops:         ops,
 		Seed:        seed,
 	}
-	// clean[window+mode] is the 0% baseline for SlowdownVsClean; the loss
-	// axis is swept inner so each baseline lands before its lossy rows.
-	clean := make(map[string]int64)
+	// clean is the window's 0% baseline for SlowdownVsClean; the loss axis
+	// is swept inner so each baseline lands before its lossy rows.
 	for _, w := range windows {
-		modes := []deltat.RecoveryMode{deltat.RecoverySelective}
-		if w > 1 {
-			modes = []deltat.RecoveryMode{deltat.RecoverySelective, deltat.RecoveryGoBackN}
-		}
-		for _, mode := range modes {
-			for _, loss := range lossPcts {
-				row := lossyCell(seed, bytes, ops, w, loss, mode)
-				key := fmt.Sprintf("%d/%s", row.Window, row.Mode)
-				if loss == 0 {
-					clean[key] = row.PerOpUS
-				}
-				if base := clean[key]; base > 0 {
-					row.SlowdownVsClean = float64(row.PerOpUS) / float64(base)
-				}
-				sweep.Rows = append(sweep.Rows, row)
+		var clean int64
+		for _, loss := range lossPcts {
+			row := lossyCell(seed, bytes, ops, w, loss)
+			if loss == 0 {
+				clean = row.PerOpUS
 			}
+			if clean > 0 {
+				row.SlowdownVsClean = float64(row.PerOpUS) / float64(clean)
+			}
+			sweep.Rows = append(sweep.Rows, row)
 		}
 	}
 	return sweep
@@ -209,65 +199,40 @@ func ReadLossySweep(r io.Reader) (LossySweep, error) {
 	return s, err
 }
 
-// Row returns the sweep row for (loss, window, mode), or nil. Mode is
-// "stopwait", "selective", or "gobackn".
-func (s LossySweep) Row(lossPct, window int, mode string) *LossyRow {
+// Row returns the sweep row for (loss, window), or nil.
+func (s LossySweep) Row(lossPct, window int) *LossyRow {
 	for i := range s.Rows {
 		r := &s.Rows[i]
-		if r.LossPct == lossPct && r.Window == window && r.Mode == mode {
+		if r.LossPct == lossPct && r.Window == window {
 			return r
 		}
 	}
 	return nil
 }
 
-// Check asserts the robustness claims the artifact exists to pin
-// (ISSUE acceptance, DESIGN.md §12): selective repeat at 15% loss stays
-// within 2x of its lossless time at every windowed depth, go-back-N at
-// 15% collapses by at least 4x at the deepest window, and at window 8
-// under 30% loss selective repeat moves the batch at least twice as fast
-// as go-back-N. Returns every violated claim.
+// Check asserts the claims the artifact exists to pin (DESIGN.md §12): the
+// windowed engine at 15% loss stays within 2x of its lossless time at every
+// depth, and every windowed row beats the stop-and-wait row at the same
+// loss rate — the engine has to earn its keep on a lossy wire, not only on
+// a clean one. Returns every violated claim.
 func (s LossySweep) Check() []error {
 	var errs []error
-	need := func(lossPct, window int, mode string) *LossyRow {
-		r := s.Row(lossPct, window, mode)
-		if r == nil {
-			errs = append(errs, fmt.Errorf("missing row loss=%d%% window=%d mode=%s", lossPct, window, mode))
-		}
-		return r
-	}
-	deepest := 0
 	for _, r := range s.Rows {
-		if r.Window > deepest {
-			deepest = r.Window
+		if r.Window <= 1 {
+			continue
 		}
-	}
-	for _, r := range s.Rows {
-		if r.Mode == "selective" && r.LossPct == 15 && r.SlowdownVsClean > 2.0 {
-			errs = append(errs, fmt.Errorf("selective w=%d at 15%% loss: slowdown %.2fx vs clean, want <= 2x",
+		if r.LossPct == 15 && r.SlowdownVsClean > 2.0 {
+			errs = append(errs, fmt.Errorf("w=%d at 15%% loss: slowdown %.2fx vs clean, want <= 2x",
 				r.Window, r.SlowdownVsClean))
 		}
-	}
-	if r := need(15, deepest, "gobackn"); r != nil && r.SlowdownVsClean < 4.0 {
-		errs = append(errs, fmt.Errorf("gobackn w=%d at 15%% loss: slowdown %.2fx vs clean, want >= 4x (the collapse selective repeat exists to avoid)",
-			deepest, r.SlowdownVsClean))
-	}
-	sel, gbn := need(30, deepest, "selective"), need(30, deepest, "gobackn")
-	if sel != nil && gbn != nil && sel.PerOpUS > 0 {
-		if ratio := float64(gbn.PerOpUS) / float64(sel.PerOpUS); ratio < 2.0 {
-			errs = append(errs, fmt.Errorf("w=%d at 30%% loss: gobackn/selective per-op ratio %.2fx, want >= 2x (gbn %d us, selective %d us)",
-				deepest, ratio, gbn.PerOpUS, sel.PerOpUS))
+		sw := s.Row(r.LossPct, 1)
+		if sw == nil {
+			errs = append(errs, fmt.Errorf("missing stop-and-wait row at loss=%d%% to judge window=%d against", r.LossPct, r.Window))
+			continue
 		}
-	}
-	// The downward-search AIMD design keeps a clean wire identical under
-	// both modes (DESIGN.md §12); a diverging 0% row means the recovery
-	// mode leaked into the no-loss fast path.
-	for _, r := range s.Rows {
-		if r.Mode == "selective" && r.LossPct == 0 && r.Window > 1 {
-			if g := s.Row(0, r.Window, "gobackn"); g != nil && g.PerOpUS != r.PerOpUS {
-				errs = append(errs, fmt.Errorf("w=%d at 0%% loss: selective %d us vs gobackn %d us — modes must be wire-identical on a clean bus",
-					r.Window, r.PerOpUS, g.PerOpUS))
-			}
+		if r.PerOpUS >= sw.PerOpUS {
+			errs = append(errs, fmt.Errorf("w=%d at %d%% loss: %d us/op does not beat stop-and-wait's %d us/op",
+				r.Window, r.LossPct, r.PerOpUS, sw.PerOpUS))
 		}
 	}
 	return errs

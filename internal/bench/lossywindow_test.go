@@ -6,26 +6,28 @@ import (
 )
 
 // TestMeasureLossyWindowShape runs a miniature lossy sweep and checks the
-// structural invariants of the artifact: window 1 is measured once per
-// loss rate as "stopwait", deeper windows once per recovery mode, every
-// 0% row is its own slowdown baseline, and loss only ever costs time.
+// structural invariants of the artifact: one row per (loss, window) cell,
+// window 1 labelled "stopwait" and deeper windows "selective", every 0%
+// row is its own slowdown baseline, and loss only ever costs time.
 func TestMeasureLossyWindowShape(t *testing.T) {
 	s := MeasureLossyWindow(3000, 8, []int{1, 4}, []int{0, 15})
 	if s.Bytes != 3000 || s.Ops != 8 {
 		t.Fatalf("sweep header wrong: %+v", s)
 	}
-	// 2 stopwait rows + 2 modes x 2 losses for window 4.
-	if len(s.Rows) != 6 {
-		t.Fatalf("%d rows, want 6", len(s.Rows))
+	if len(s.Rows) != 4 {
+		t.Fatalf("%d rows, want 4", len(s.Rows))
 	}
-	for _, mode := range []string{"stopwait", "selective", "gobackn"} {
-		w := 4
-		if mode == "stopwait" {
-			w = 1
-		}
-		clean, lossy := s.Row(0, w, mode), s.Row(15, w, mode)
+	for _, c := range []struct {
+		w    int
+		mode string
+	}{{1, "stopwait"}, {4, "selective"}} {
+		w, mode := c.w, c.mode
+		clean, lossy := s.Row(0, w), s.Row(15, w)
 		if clean == nil || lossy == nil {
-			t.Fatalf("missing %s rows: %+v", mode, s.Rows)
+			t.Fatalf("missing window %d rows: %+v", w, s.Rows)
+		}
+		if clean.Mode != mode || lossy.Mode != mode {
+			t.Errorf("window %d rows labelled %q/%q, want %q", w, clean.Mode, lossy.Mode, mode)
 		}
 		if clean.SlowdownVsClean != 1 {
 			t.Errorf("%s 0%% row slowdown %.2f, want 1", mode, clean.SlowdownVsClean)
@@ -34,20 +36,13 @@ func TestMeasureLossyWindowShape(t *testing.T) {
 			t.Errorf("%s got faster under loss: %+v vs %+v", mode, lossy, clean)
 		}
 	}
-	if s.Row(0, 1, "selective") != nil {
-		t.Fatal("window 1 must be measured as stopwait, not per recovery mode")
+	if lossy := s.Row(15, 4); lossy.SackBlocksSent == 0 {
+		t.Error("windowed cell under loss sent no SACK blocks")
 	}
-	sel, gbn := s.Row(0, 4, "selective"), s.Row(0, 4, "gobackn")
-	if sel.PerOpUS != gbn.PerOpUS {
-		t.Errorf("0%% loss rows diverge across modes: %d vs %d us", sel.PerOpUS, gbn.PerOpUS)
+	if lossy := s.Row(15, 1); lossy.FragRetransmits != 0 || lossy.SackBlocksSent != 0 {
+		t.Error("stop-and-wait cell counted windowed recovery work")
 	}
-	if lossySel := s.Row(15, 4, "selective"); lossySel.SackBlocksSent == 0 {
-		t.Error("selective cell under loss sent no SACK blocks")
-	}
-	if lossyGbn := s.Row(15, 4, "gobackn"); lossyGbn.SelectiveRetransmits != 0 {
-		t.Error("go-back-N cell counted selective retransmits")
-	}
-	if s.Row(15, 8, "selective") != nil {
+	if s.Row(15, 8) != nil {
 		t.Fatal("Row found a cell that was never measured")
 	}
 }
@@ -79,12 +74,12 @@ func TestLossySweepRoundTrip(t *testing.T) {
 func TestLossySweepCheckViolations(t *testing.T) {
 	mk := func() LossySweep {
 		return LossySweep{Rows: []LossyRow{
+			{LossPct: 0, Window: 1, Mode: "stopwait", PerOpUS: 180, SlowdownVsClean: 1},
+			{LossPct: 15, Window: 1, Mode: "stopwait", PerOpUS: 300, SlowdownVsClean: 1.7},
+			{LossPct: 30, Window: 1, Mode: "stopwait", PerOpUS: 550, SlowdownVsClean: 3.1},
 			{LossPct: 0, Window: 8, Mode: "selective", PerOpUS: 100, SlowdownVsClean: 1},
-			{LossPct: 0, Window: 8, Mode: "gobackn", PerOpUS: 100, SlowdownVsClean: 1},
 			{LossPct: 15, Window: 8, Mode: "selective", PerOpUS: 150, SlowdownVsClean: 1.5},
-			{LossPct: 15, Window: 8, Mode: "gobackn", PerOpUS: 700, SlowdownVsClean: 7},
 			{LossPct: 30, Window: 8, Mode: "selective", PerOpUS: 250, SlowdownVsClean: 2.5},
-			{LossPct: 30, Window: 8, Mode: "gobackn", PerOpUS: 1100, SlowdownVsClean: 11},
 		}}
 	}
 	if errs := mk().Check(); len(errs) != 0 {
@@ -94,20 +89,17 @@ func TestLossySweepCheckViolations(t *testing.T) {
 		name   string
 		doctor func(*LossySweep)
 	}{
-		{"selective degraded past 2x at 15%", func(s *LossySweep) {
-			s.Row(15, 8, "selective").SlowdownVsClean = 2.6
+		{"windowed degraded past 2x at 15%", func(s *LossySweep) {
+			s.Row(15, 8).SlowdownVsClean = 2.6
 		}},
-		{"gobackn failed to collapse", func(s *LossySweep) {
-			s.Row(15, 8, "gobackn").SlowdownVsClean = 1.4
+		{"windowed lost to stop-and-wait under loss", func(s *LossySweep) {
+			s.Row(30, 8).PerOpUS = 600
 		}},
-		{"30% mode ratio collapsed", func(s *LossySweep) {
-			s.Row(30, 8, "gobackn").PerOpUS = 300
+		{"windowed only tied stop-and-wait on a clean wire", func(s *LossySweep) {
+			s.Row(0, 8).PerOpUS = 180
 		}},
-		{"0% rows diverged across modes", func(s *LossySweep) {
-			s.Row(0, 8, "gobackn").PerOpUS = 101
-		}},
-		{"missing row", func(s *LossySweep) {
-			s.Rows = s.Rows[:len(s.Rows)-1]
+		{"missing stop-and-wait row", func(s *LossySweep) {
+			s.Rows = append(s.Rows[:2], s.Rows[3:]...)
 		}},
 	}
 	for _, tc := range cases {
@@ -120,9 +112,9 @@ func TestLossySweepCheckViolations(t *testing.T) {
 }
 
 // TestLossySweepDefaultGates is the acceptance pin: the standard sweep at
-// its committed scale must pass every Check gate — selective repeat within
-// 2x of lossless at 15% loss, the go-back-N collapse, and 0%-loss
-// wire-identity across modes.
+// its committed scale must pass every Check gate — the windowed engine
+// within 2x of lossless at 15% loss, and ahead of stop-and-wait in every
+// cell.
 func TestLossySweepDefaultGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full default sweep in -short mode")

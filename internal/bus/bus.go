@@ -97,21 +97,20 @@ type Stats struct {
 	// standalone FRAGACK frames and piggybacks on reverse FRAGs alike.
 	CumulativeAcks uint64
 	// FragmentRetransmits counts FRAG frames re-sent by the windowed
-	// transport's recovery, go-back-N and selective repeat alike (first
-	// transmissions not counted).
+	// transport's recovery: hole re-sends and §5.2.3 completion probes
+	// (first transmissions not counted).
 	FragmentRetransmits uint64
 	// SelectiveRetransmits counts the subset of FragmentRetransmits that
-	// were hole-targeted re-sends under selective repeat (SACKed
-	// successors withheld): timer-driven hole rounds and fast
-	// retransmits. Always zero under go-back-N.
+	// were hole-targeted re-sends (SACKed successors withheld):
+	// timer-driven hole rounds and fast retransmits.
 	SelectiveRetransmits uint64
 	// SackBlocksSent counts contiguous SACK blocks carried on outgoing
 	// FRAGACK frames (one bitmap may report several blocks).
 	SackBlocksSent uint64
 	// WindowIncreases and WindowDecreases count AIMD congestion-window
 	// moves: additive +1 growth after a clean window of completions, and
-	// multiplicative halving on a recovery-timer fire. Always zero under
-	// go-back-N or at window<=1.
+	// multiplicative halving on a recovery-timer fire. Always zero at
+	// window<=1.
 	WindowIncreases uint64
 	WindowDecreases uint64
 	BytesSent       uint64
@@ -371,11 +370,11 @@ func (i *Iface) CountWindowFill() { i.bus.stats.WindowFills++ }
 func (i *Iface) CountCumulativeAck() { i.bus.stats.CumulativeAcks++ }
 
 // CountFragmentRetransmit records a FRAG frame re-sent by windowed-mode
-// recovery (either strategy).
+// recovery (a hole re-send or a completion probe).
 func (i *Iface) CountFragmentRetransmit() { i.bus.stats.FragmentRetransmits++ }
 
-// CountSelectiveRetransmit records a hole-targeted FRAG re-send under
-// selective repeat (counted in addition to CountFragmentRetransmit).
+// CountSelectiveRetransmit records a hole-targeted FRAG re-send (counted
+// in addition to CountFragmentRetransmit).
 func (i *Iface) CountSelectiveRetransmit() { i.bus.stats.SelectiveRetransmits++ }
 
 // CountSackBlocks records the contiguous SACK blocks carried on one

@@ -59,10 +59,4 @@ func TestEnumStrings(t *testing.T) {
 			t.Errorf("EventKind(%d).String() = %q, want %q", k, got, want)
 		}
 	}
-	if got := RecoverySelective.String(); got != "selective" {
-		t.Errorf("RecoverySelective.String() = %q", got)
-	}
-	if got := RecoveryGoBackN.String(); got != "gobackn" {
-		t.Errorf("RecoveryGoBackN.String() = %q", got)
-	}
 }

@@ -161,8 +161,9 @@ const (
 	// (standalone FRAGACK or piggybacked on a reverse FRAG); Seq is the
 	// highest in-order fragment sequence acknowledged.
 	EvCumAck
-	// EvFragRetransmit: go-back-N recovery re-sent a FRAG frame; Seq is
-	// its fragment sequence, Attempt the retransmission round.
+	// EvFragRetransmit: the recovery round re-sent a message's final FRAG
+	// as a §5.2.3 completion probe; Seq is its fragment sequence, Attempt
+	// the retransmission round. (Hole re-sends emit EvSelectiveRetransmit.)
 	EvFragRetransmit
 	// EvSelectiveRetransmit: selective-repeat recovery re-sent one
 	// unacknowledged hole while withholding SACKed successors; Seq is the
@@ -240,30 +241,6 @@ type Event struct {
 	Attempt int
 }
 
-// RecoveryMode selects how the windowed engine (Config.Window > 1)
-// recovers lost fragments.
-type RecoveryMode uint8
-
-const (
-	// RecoverySelective is the default: the receiver buffers out-of-order
-	// fragments and reports them in SACK bitmaps, the sender retransmits
-	// only the holes (fast-retransmit on duplicate cumulative acks, timer
-	// otherwise), and an AIMD controller adapts the effective window
-	// below the operator's Config.Window ceiling.
-	RecoverySelective RecoveryMode = iota
-	// RecoveryGoBackN is the legacy engine: strict in-order acceptance,
-	// cumulative acks only, full-pipeline retransmission on every
-	// recovery-timer fire, fixed window.
-	RecoveryGoBackN
-)
-
-func (m RecoveryMode) String() string {
-	if m == RecoveryGoBackN {
-		return "gobackn"
-	}
-	return "selective"
-}
-
 // Config sets protocol timing.
 type Config struct {
 	// MPL, R, A are the Delta-t bounds (§5.2.2).
@@ -288,17 +265,12 @@ type Config struct {
 	// Values <= 1 select the paper-faithful alternating-bit stop-and-wait
 	// path (§5.2.2), bit-identical to the pre-window transport; values
 	// > 1 route all reliable traffic through the windowed engine with
-	// message fragmentation (window.go, DESIGN.md §11).
+	// message fragmentation (window.go, DESIGN.md §11), clamped to
+	// MaxWindowMessages.
 	Window int
 	// FragSize caps the payload bytes of one FRAG frame in windowed
 	// mode; <= 0 means DefaultFragSize. Window=1 never fragments.
 	FragSize int
-	// Recovery selects the windowed engine's loss-recovery strategy. The
-	// zero value is RecoverySelective (SACK + AIMD, DESIGN.md §12);
-	// RecoveryGoBackN keeps the PR-5 cumulative-only engine with a fixed
-	// window, retained as the baseline the lossywindow benchmark compares
-	// against. Window<=1 ignores this field entirely.
-	Recovery RecoveryMode
 	Costs    Costs
 	// Observer, when non-nil, receives the endpoint's protocol event
 	// stream (see Event). It must never influence protocol behavior; the
@@ -440,9 +412,10 @@ type Endpoint struct {
 	// recvReadyAt serializes windowed receive charges: the processor
 	// finishes frames in arrival order, so a small fragment's (cheaper)
 	// charge cannot complete before a larger fragment that arrived first —
-	// which would hand the strict in-order go-back-N receiver the frames
-	// out of sequence and force a spurious retransmission round. The
-	// receive-side mirror of wsend.readyAt. Unused when Window <= 1.
+	// which would hand the receiver the frames out of sequence, bank the
+	// early one as out-of-order and answer with a spurious duplicate ack
+	// on a wire that lost nothing. The receive-side mirror of
+	// wsend.readyAt. Unused when Window <= 1.
 	recvReadyAt sim.Time
 	totals      CostTotals
 	crashed     bool
@@ -451,12 +424,6 @@ type Endpoint struct {
 
 // windowed reports whether the sliding-window engine is in effect.
 func (e *Endpoint) windowed() bool { return e.cfg.Window > 1 }
-
-// selective reports whether the windowed engine runs selective-repeat
-// recovery (the default) rather than legacy go-back-N.
-func (e *Endpoint) selective() bool {
-	return e.windowed() && e.cfg.Recovery != RecoveryGoBackN
-}
 
 // New attaches a transport endpoint for mid to a frame-carrying medium:
 // the simulated bus (bus.Bus.Wire) or the socket backend (internal/netx).
@@ -1153,38 +1120,46 @@ func (e *Endpoint) applyVerdict(src frame.MID, seq uint8, dec Decision) {
 		// fresh.
 		e.sendNack(src, seq, frame.NackBusy)
 	case VerdictHold:
-		//lint:allow noalloc (counted: one hold record per held REQUEST)
-		h := &held{seq: seq, expiry: dec.ExpiryVerdict}
-		//lint:allow noalloc (counted: hold map entry, deleted on resolution)
-		e.holds[src] = h
-		timeout := dec.HoldTimeout
-		if timeout < 0 {
-			return // no auto expiry; the upper layer owns the hold
-		}
-		if timeout == 0 {
-			timeout = e.cfg.A
-		}
-		if h.expiry == 0 {
-			h.expiry = VerdictAck
-		}
-		gen := h.gen
-		epoch := e.epoch
-		//lint:allow noalloc (counted: one hold-expiry timer closure per held REQUEST)
-		e.k.After(timeout, func() {
-			if epoch != e.epoch || e.holds[src] != h || h.gen != gen {
-				return
-			}
-			delete(e.holds, src)
-			e.applyVerdict(src, seq, Decision{Verdict: h.expiry})
-			if e.hooks.OnHoldExpired != nil {
-				//lint:allow noalloc (cold: hold expiry fires only when the upper layer stalls)
-				e.hooks.OnHoldExpired(src, h.expiry)
-			}
-		})
+		e.hold(src, seq, dec)
 	default:
 		//lint:allow noalloc (cold: invalid-verdict panic)
 		panic(fmt.Sprintf("deltat: invalid verdict %d", dec.Verdict))
 	}
+}
+
+// hold withholds the acknowledgement of frame seq from src until the upper
+// layer resolves it (ResolveHold) or the hold times out, whichever comes
+// first. Shared by both engines: expiry re-enters through applyVerdict, which
+// forks on windowed().
+func (e *Endpoint) hold(src frame.MID, seq uint8, dec Decision) {
+	//lint:allow noalloc (counted: one hold record per held REQUEST)
+	h := &held{seq: seq, expiry: dec.ExpiryVerdict}
+	//lint:allow noalloc (counted: hold map entry, deleted on resolution)
+	e.holds[src] = h
+	timeout := dec.HoldTimeout
+	if timeout < 0 {
+		return // no auto expiry; the upper layer owns the hold
+	}
+	if timeout == 0 {
+		timeout = e.cfg.A
+	}
+	if h.expiry == 0 {
+		h.expiry = VerdictAck
+	}
+	gen := h.gen
+	epoch := e.epoch
+	//lint:allow noalloc (counted: one hold-expiry timer closure per held REQUEST)
+	e.k.After(timeout, func() {
+		if epoch != e.epoch || e.holds[src] != h || h.gen != gen {
+			return
+		}
+		delete(e.holds, src)
+		e.applyVerdict(src, seq, Decision{Verdict: h.expiry})
+		if e.hooks.OnHoldExpired != nil {
+			//lint:allow noalloc (cold: hold expiry fires only when the upper layer stalls)
+			e.hooks.OnHoldExpired(src, h.expiry)
+		}
+	})
 }
 
 func (e *Endpoint) sendAck(dst frame.MID, seq uint8, payload []byte) {

@@ -11,33 +11,28 @@
 //     paper's per-request accounting);
 //   - each message is cut into FRAG frames of at most FragSize payload
 //     bytes, numbered in a per-link frame-sequence stream that the receiver
-//     acknowledges cumulatively (go-back-N).
+//     acknowledges cumulatively.
 //
 // Frame sequence numbers and message sequence numbers are uint8 serial
 // numbers; correctness requires the outstanding span to stay below half the
-// space, which maxInflightFrags and maxWindowMessages guarantee.
+// space, which maxInflightFrags and MaxWindowMessages guarantee.
 //
-// Loss recovery comes in two modes (Config.Recovery, DESIGN.md §12):
+// Loss recovery is selective repeat (DESIGN.md §12): the receiver buffers
+// out-of-order fragments in a bounded per-peer map and reports them to the
+// sender in a SACK bitmap riding every standalone FRAGACK; the sender
+// retransmits only the holes — on the recovery timer, or early via
+// fast-retransmit when fastRetransmitDupAcks duplicate cumulative acks
+// arrive. An AIMD controller sizes the effective message window (cwnd): it
+// starts at the operator's Config.Window ceiling (the LAN's capacity is
+// known, so the search runs downward from evidence of loss rather than
+// upward from 1), halves on every recovery-timer fire, and regrows by one
+// message per clean window's worth of completions, never exceeding the
+// ceiling.
 //
-//   - RecoverySelective (default): the receiver buffers out-of-order
-//     fragments in a bounded per-peer map and reports them to the sender in
-//     a SACK bitmap riding every standalone FRAGACK; the sender retransmits
-//     only the holes — on the recovery timer, or early via fast-retransmit
-//     when fastRetransmitDupAcks duplicate cumulative acks arrive. An AIMD
-//     controller sizes the effective message window (cwnd): it starts at the
-//     operator's Config.Window ceiling (the LAN's capacity is known, so the
-//     search runs downward from evidence of loss rather than upward from 1),
-//     halves on every recovery-timer fire, and regrows by one message per
-//     clean window's worth of completions, never exceeding the ceiling.
-//   - RecoveryGoBackN (legacy): the receiver only accepts the next in-order
-//     frame sequence, and the sender's single per-destination timer re-sends
-//     every unacknowledged fragment.
-//
-// In both modes message completion is signalled separately by a TransportAck
-// carrying the message sequence (and any reply payload), exactly like the
-// stop-and-wait path — so a lost completion ack is recovered by the §5.2.3
-// cached-reply replay when a duplicate of the message's final fragment
-// arrives.
+// Message completion is signalled separately by a TransportAck carrying the
+// message sequence (and any reply payload), exactly like the stop-and-wait
+// path — so a lost completion ack is recovered by the §5.2.3 cached-reply
+// replay when a duplicate of the message's final fragment arrives.
 //
 // Window=1 configurations never reach this file: every entry point is gated
 // on Endpoint.windowed(), keeping the default path bit-identical to the
@@ -57,10 +52,13 @@ import (
 // frame while cutting a 1000-word message into just two frames.
 const DefaultFragSize = 1024
 
+// MaxWindowMessages clamps Config.Window so message sequence numbers stay
+// within half the uint8 serial space. Callers that echo the configured
+// window back to an operator (sweep.Spec) reject anything above it rather
+// than report a depth that never ran.
+const MaxWindowMessages = 32
+
 const (
-	// maxWindowMessages clamps Config.Window so message sequence numbers
-	// stay within half the uint8 serial space.
-	maxWindowMessages = 32
 	// maxInflightFrags bounds unacknowledged FRAG frames per destination,
 	// keeping frame sequence numbers within half the serial space.
 	maxInflightFrags = 64
@@ -70,16 +68,16 @@ const (
 	// replyCacheCap bounds the per-peer cache of message replies kept for
 	// duplicate replay: twice the window, so a reply outlives every
 	// message the sender can still be probing for.
-	replyCacheCap = 2 * maxWindowMessages
+	replyCacheCap = 2 * MaxWindowMessages
 	// sackSpan is how many sequence numbers past cum+1 the SACK bitmap
 	// covers (64 bits; cum+1 is by definition the first hole and needs no
 	// bit). Because maxInflightFrags == sackSpan, a compliant sender's
 	// whole outstanding span is always representable.
 	sackSpan = 64
-	// maxOOOFrags bounds the per-peer out-of-order reassembly buffer in
-	// selective mode. A compliant sender can have at most sackSpan-1
-	// fragments beyond the first hole outstanding, so eviction only ever
-	// fires against non-compliant (or wildly delayed) traffic.
+	// maxOOOFrags bounds the per-peer out-of-order reassembly buffer. A
+	// compliant sender can have at most sackSpan-1 fragments beyond the
+	// first hole outstanding, so eviction only ever fires against
+	// non-compliant (or wildly delayed) traffic.
 	maxOOOFrags = maxInflightFrags
 	// fastRetransmitDupAcks is K: after this many consecutive standalone
 	// cumulative acks with no progress, the sender retransmits the holes
@@ -114,12 +112,11 @@ type wfrag struct {
 	seq uint8
 	msg *wmsg
 	idx int
-	// sacked marks a fragment the receiver reported holding out of order
-	// (selective mode). A sacked fragment is skipped by hole
-	// retransmission but is NOT released — only the cumulative ack frees
-	// it, so a receiver-side eviction can never strand the transfer
-	// (anti-renege: the marks are cleared after two consecutive timer
-	// fires without progress).
+	// sacked marks a fragment the receiver reported holding out of order.
+	// A sacked fragment is skipped by hole retransmission but is NOT
+	// released — only the cumulative ack frees it, so a receiver-side
+	// eviction can never strand the transfer (anti-renege: the marks are
+	// cleared after two consecutive timer fires without progress).
 	sacked bool
 	// wireAt is when this fragment's latest copy finishes leaving the
 	// wire. While wireAt is in the future the copy is still in our own
@@ -164,7 +161,7 @@ type wsend struct {
 	// the enforced silence.
 	quietUntil sim.Time
 
-	// AIMD congestion state (selective mode only; see the package doc).
+	// AIMD congestion state (see the package doc).
 	// cwnd is the adaptive message window, always in [1, Endpoint.window()];
 	// cleanAcks counts message completions since the last loss signal
 	// toward the next additive increase.
@@ -235,9 +232,9 @@ type winMsg struct {
 }
 
 // oooFrag is one fragment received ahead of the cumulative point and held
-// for reassembly once the hole fills (selective mode). The payload is copied
-// out of the shared bus buffer at buffering time — the drain happens on a
-// later event, past the buffer's lifetime.
+// for reassembly once the hole fills. The payload is copied out of the
+// shared bus buffer at buffering time — the drain happens on a later event,
+// past the buffer's lifetime.
 type oooFrag struct {
 	msgSeq  uint8
 	idx     uint8
@@ -263,10 +260,9 @@ type wrecv struct {
 	buffered map[uint8]*winMsg // reassembled, not yet delivered
 	skipped  map[uint8]bool    // delivered ahead of order during busyWait
 
-	// Out-of-order fragments keyed by frame sequence (selective mode;
-	// always empty under go-back-N). Bounded by maxOOOFrags with
-	// deterministic farthest-first eviction; drained into the contiguous
-	// assembly stream as the cumulative point advances.
+	// Out-of-order fragments keyed by frame sequence. Bounded by
+	// maxOOOFrags with deterministic farthest-first eviction; drained into
+	// the contiguous assembly stream as the cumulative point advances.
 	ooo map[uint8]oooFrag
 
 	delivering bool // one upper-layer verdict outstanding at a time
@@ -283,19 +279,10 @@ type wrecv struct {
 // window is the clamped message-window depth — the operator's ceiling.
 func (e *Endpoint) window() int {
 	w := e.cfg.Window
-	if w > maxWindowMessages {
-		w = maxWindowMessages
+	if w > MaxWindowMessages {
+		w = MaxWindowMessages
 	}
 	return w
-}
-
-// wLimit is the admission limit actually in force: the AIMD cwnd under
-// selective repeat, the fixed operator window under go-back-N.
-func (e *Endpoint) wLimit(ws *wsend) int {
-	if e.selective() {
-		return ws.cwnd
-	}
-	return e.window()
 }
 
 // wFragSize is the effective fragment payload cap for a message of n bytes.
@@ -314,8 +301,8 @@ func (e *Endpoint) wsendFor(dst frame.MID) *wsend {
 	ws := e.wout[dst]
 	if ws == nil {
 		// cwnd opens at the operator ceiling: on the known-capacity LAN the
-		// AIMD search runs downward from loss evidence, so a clean link is
-		// wire-identical to the fixed-window engine.
+		// AIMD search runs downward from loss evidence, so a clean link
+		// runs at the full window from the first message.
 		ws = &wsend{cwnd: e.window()}
 		if q, ok := e.wquiet[dst]; ok {
 			// Reconnect after a peer-dead verdict: hold the first frame
@@ -397,7 +384,7 @@ func (e *Endpoint) wPump(dst frame.MID, ws *wsend) {
 			if len(ws.queue) == 0 {
 				break
 			}
-			if len(ws.inflight) >= e.wLimit(ws) {
+			if len(ws.inflight) >= ws.cwnd {
 				if !ws.stalled {
 					ws.stalled = true
 					e.iface.CountWindowFill()
@@ -507,10 +494,10 @@ func (e *Endpoint) wTransmitFrag(dst frame.MID, ws *wsend, m *wmsg, idx int, seq
 	return ws.lineFreeAt
 }
 
-// wArm starts the per-destination go-back-N recovery timer if it is not
-// already running and something is outstanding. The wait scales with the
-// bytes in flight so a burst is not retried while still on the wire, capped
-// well inside the death-detection window.
+// wArm starts the per-destination recovery timer if it is not already
+// running and something is outstanding. The wait scales with the bytes in
+// flight so a burst is not retried while still on the wire, capped well
+// inside the death-detection window.
 func (e *Endpoint) wArm(dst frame.MID, ws *wsend) {
 	if ws.armed || !ws.outstanding() {
 		return
@@ -591,7 +578,7 @@ func (e *Endpoint) wArm(dst frame.MID, ws *wsend) {
 }
 
 // wCancelTimer stops the recovery timer and resets the backoff, called on
-// acknowledgement progress (go-back-N restarts the timer for the new oldest
+// acknowledgement progress (the caller re-arms it for the new oldest
 // outstanding frame).
 func (e *Endpoint) wCancelTimer(ws *wsend) {
 	ws.timerGen++
@@ -600,13 +587,12 @@ func (e *Endpoint) wCancelTimer(ws *wsend) {
 	ws.attempts = 0
 }
 
-// wRetransmit is one recovery round. Go-back-N re-sends every unacknowledged
-// fragment in frame-sequence order; selective repeat halves the AIMD window
-// (the timer fire is the loss evidence), then re-sends only the holes —
-// fragments the receiver has not reported via SACK. When every fragment is
-// acknowledged but a message completion is missing, both modes probe with
-// the oldest incomplete message's final fragment — the duplicate triggers
-// the receiver's cached-reply replay (§5.2.3).
+// wRetransmit is one recovery round: it halves the AIMD window (the timer
+// fire is the loss evidence), then re-sends only the holes — fragments the
+// receiver has not reported via SACK. When every fragment is acknowledged
+// but a message completion is missing, it probes with the oldest incomplete
+// message's final fragment — the duplicate triggers the receiver's
+// cached-reply replay (§5.2.3).
 func (e *Endpoint) wRetransmit(dst frame.MID, ws *wsend) {
 	if len(ws.frames) > 0 && ws.frames[0].wireAt > e.k.Now() {
 		// The oldest outstanding fragment's latest copy is still in our
@@ -629,43 +615,29 @@ func (e *Endpoint) wRetransmit(dst frame.MID, ws *wsend) {
 			ws.interval = max
 		}
 	}
-	if e.selective() {
-		e.wShrinkWindow(dst, ws)
-	}
+	e.wShrinkWindow(dst, ws)
 	if len(ws.frames) > 0 {
-		if e.selective() {
-			if ws.attempts >= 2 {
-				// Anti-renege: two timer fires with no cumulative progress
-				// means the SACK picture may be stale (or the receiver
-				// evicted); distrust it and re-send everything unacked.
-				for i := range ws.frames {
-					ws.frames[i].sacked = false
-				}
-			}
-			sent := false
+		if ws.attempts >= 2 {
+			// Anti-renege: two timer fires with no cumulative progress
+			// means the SACK picture may be stale (or the receiver
+			// evicted); distrust it and re-send everything unacked.
 			for i := range ws.frames {
-				if ws.frames[i].sacked || ws.frames[i].wireAt > e.k.Now() {
-					continue
-				}
-				e.wResendFrag(dst, ws, i, ws.attempts+1)
-				sent = true
+				ws.frames[i].sacked = false
 			}
-			if !sent {
-				// Everything outstanding is sacked yet cum never advanced:
-				// the receiver's acks are being lost. Re-send the oldest
-				// fragment; its duplicate provokes a fresh (high) cum ack.
-				e.wResendFrag(dst, ws, 0, ws.attempts+1)
+		}
+		sent := false
+		for i := range ws.frames {
+			if ws.frames[i].sacked || ws.frames[i].wireAt > e.k.Now() {
+				continue
 			}
-		} else {
-			for i := range ws.frames {
-				if ws.frames[i].wireAt > e.k.Now() {
-					continue
-				}
-				fr := ws.frames[i]
-				e.iface.CountFragmentRetransmit()
-				e.emit(EvFragRetransmit, dst, fr.seq, ws.attempts+1)
-				ws.frames[i].wireAt = e.wTransmitFrag(dst, ws, fr.msg, fr.idx, fr.seq)
-			}
+			e.wResendFrag(dst, ws, i, ws.attempts+1)
+			sent = true
+		}
+		if !sent {
+			// Everything outstanding is sacked yet cum never advanced:
+			// the receiver's acks are being lost. Re-send the oldest
+			// fragment; its duplicate provokes a fresh (high) cum ack.
+			e.wResendFrag(dst, ws, 0, ws.attempts+1)
 		}
 	}
 	e.wProbeStarved(dst, ws)
@@ -700,9 +672,9 @@ func (e *Endpoint) wProbeStarved(dst frame.MID, ws *wsend) {
 	}
 }
 
-// wResendFrag re-sends the hole at ws.frames[i] under selective repeat,
-// counted both as a fragment retransmission (the shared recovery metric) and
-// as a selective retransmission (the holes-only refinement).
+// wResendFrag re-sends the hole at ws.frames[i], counted both as a fragment
+// retransmission (the recovery metric it shares with completion probes) and
+// as a selective retransmission (hole re-sends only).
 func (e *Endpoint) wResendFrag(dst frame.MID, ws *wsend, i int, round int) {
 	fr := ws.frames[i]
 	e.iface.CountFragmentRetransmit()
@@ -853,16 +825,16 @@ func (e *Endpoint) wHandleCumAck(src frame.MID, cum uint8) bool {
 }
 
 // wHandleFragAck processes a standalone FRAGACK: cumulative release, SACK
-// marking, and — selective mode only — duplicate-ack counting toward fast
-// retransmit. Only standalone acks count as duplicates: they are the
-// receiver's explicit "still stuck at cum" signal, whereas piggybacked acks
-// repeat cum on every reverse fragment as a matter of course.
+// marking, and duplicate-ack counting toward fast retransmit. Only
+// standalone acks count as duplicates: they are the receiver's explicit
+// "still stuck at cum" signal, whereas piggybacked acks repeat cum on every
+// reverse fragment as a matter of course.
 func (e *Endpoint) wHandleFragAck(src frame.MID, f *frame.TransportFrame) {
 	ws := e.wout[src]
 	if ws == nil {
 		return
 	}
-	if e.selective() && f.SackBits != 0 {
+	if f.SackBits != 0 {
 		for i := range ws.frames {
 			d := ws.frames[i].seq - (f.Seq + 2)
 			if d < sackSpan && f.SackBits&(1<<d) != 0 {
@@ -873,7 +845,7 @@ func (e *Endpoint) wHandleFragAck(src frame.MID, f *frame.TransportFrame) {
 	if e.wHandleCumAck(src, f.Seq) {
 		return
 	}
-	if !e.selective() || len(ws.frames) == 0 {
+	if len(ws.frames) == 0 {
 		return
 	}
 	if ws.dupAcks > 0 && ws.dupCum == f.Seq {
@@ -938,7 +910,7 @@ func (e *Endpoint) wHandleMsgAck(src frame.MID, f *frame.TransportFrame) {
 	ws.deadline = e.k.Now() + e.cfg.DeadAfter()
 	e.wDropFrames(ws, m)
 	e.emit(EvAckRx, src, f.Seq, 0)
-	if e.selective() && ws.cwnd < e.window() {
+	if ws.cwnd < e.window() {
 		// Additive increase: one window's worth of clean completions —
 		// roughly one loss-free round trip — earns one more message of
 		// cwnd, never past the operator's ceiling.
@@ -1018,11 +990,10 @@ func (e *Endpoint) wHandleNack(src frame.MID, f *frame.TransportFrame) {
 // wHandleFrag is the receive side: frame acceptance against the cumulative
 // point, reassembly of the contiguous stream, duplicate replay from the
 // reply cache, and buffering of completed messages for in-order delivery.
-// Go-back-N drops anything out of order; selective repeat banks it in the
-// bounded per-peer ooo buffer and answers with a SACK so the sender learns
-// the exact holes. Payloads are always copied out of the shared bus buffer —
-// delivery (and ooo draining) happens on a later event, past the buffer's
-// lifetime.
+// Anything out of order is banked in the bounded per-peer ooo buffer and
+// answered with a SACK so the sender learns the exact holes. Payloads are
+// always copied out of the shared bus buffer — delivery (and ooo draining)
+// happens on a later event, past the buffer's lifetime.
 func (e *Endpoint) wHandleFrag(src frame.MID, f *frame.TransportFrame) {
 	if f.AckPresent {
 		e.wHandleCumAck(src, f.AckSeq)
@@ -1062,39 +1033,27 @@ func (e *Endpoint) wHandleFrag(src frame.MID, f *frame.TransportFrame) {
 					return
 				}
 			}
-			if e.selective() {
-				// A duplicate means the sender is retransmitting blind;
-				// answer immediately (with SACK state) rather than
-				// waiting out the piggyback delay.
-				e.wSendFragAck(src, wr)
-			} else {
-				e.wScheduleCumAck(src, wr)
-			}
+			// A duplicate means the sender is retransmitting blind;
+			// answer immediately (with SACK state) rather than waiting
+			// out the piggyback delay.
+			e.wSendFragAck(src, wr)
 			return
 		default:
-			if e.selective() {
-				e.wBufferOOO(src, wr, f)
-			} else {
-				// Gap: go-back-N receivers drop out-of-order fragments;
-				// the cumulative ack tells the sender where to resume.
-				e.wScheduleCumAck(src, wr)
-			}
+			e.wBufferOOO(src, wr, f)
 			return
 		}
 	}
 	e.wAcceptStream(src, wr, f.MsgSeq, f.FragIndex, f.FragEnd, f.Urgent, f.Payload)
-	if e.selective() {
-		// The hole just filled; drain every now-contiguous banked
-		// fragment into the assembly stream, in sequence order.
-		for {
-			of, ok := wr.ooo[wr.cum+1]
-			if !ok {
-				break
-			}
-			delete(wr.ooo, wr.cum+1)
-			wr.cum++
-			e.wAcceptStream(src, wr, of.msgSeq, of.idx, of.end, of.urgent, of.payload)
+	// The hole just filled; drain every now-contiguous banked fragment
+	// into the assembly stream, in sequence order.
+	for {
+		of, ok := wr.ooo[wr.cum+1]
+		if !ok {
+			break
 		}
+		delete(wr.ooo, wr.cum+1)
+		wr.cum++
+		e.wAcceptStream(src, wr, of.msgSeq, of.idx, of.end, of.urgent, of.payload)
 	}
 }
 
@@ -1149,10 +1108,10 @@ func (e *Endpoint) wAcceptStream(src frame.MID, wr *wrecv, msgSeq, fragIdx uint8
 	e.wTryDeliver(src, wr)
 }
 
-// wBufferOOO banks an out-of-order fragment for later draining (selective
-// mode) and answers with an immediate SACK-bearing duplicate ack — the
-// sender's fast-retransmit signal. Beyond-horizon fragments (impossible
-// from a compliant sender) are dropped like go-back-N. The buffer is
+// wBufferOOO banks an out-of-order fragment for later draining and answers
+// with an immediate SACK-bearing duplicate ack — the sender's
+// fast-retransmit signal. Beyond-horizon fragments (impossible from a
+// compliant sender) are dropped with a plain delayed ack. The buffer is
 // bounded by maxOOOFrags; when full, the fragment farthest ahead of the
 // cumulative point is the one discarded (deterministic, and the safest
 // choice: far fragments are the last the drain could ever use, and the
@@ -1306,30 +1265,7 @@ func (e *Endpoint) wApplyVerdict(src frame.MID, msgSeq uint8, dec Decision) {
 		e.wSendMsgNack(src, msgSeq, frame.NackBusy)
 		e.wTryDeliver(src, wr)
 	case VerdictHold:
-		h := &held{seq: msgSeq, expiry: dec.ExpiryVerdict}
-		e.holds[src] = h
-		timeout := dec.HoldTimeout
-		if timeout < 0 {
-			return // no auto expiry; the upper layer owns the hold
-		}
-		if timeout == 0 {
-			timeout = e.cfg.A
-		}
-		if h.expiry == 0 {
-			h.expiry = VerdictAck
-		}
-		gen := h.gen
-		epoch := e.epoch
-		e.k.After(timeout, func() {
-			if epoch != e.epoch || e.holds[src] != h || h.gen != gen {
-				return
-			}
-			delete(e.holds, src)
-			e.wApplyVerdict(src, msgSeq, Decision{Verdict: h.expiry})
-			if e.hooks.OnHoldExpired != nil {
-				e.hooks.OnHoldExpired(src, h.expiry)
-			}
-		})
+		e.hold(src, msgSeq, dec)
 	default:
 		panic("deltat: invalid verdict in windowed mode")
 	}
@@ -1463,8 +1399,8 @@ func (e *Endpoint) wScheduleCumAck(src frame.MID, wr *wrecv) {
 }
 
 // wSendFragAck transmits a standalone FRAGACK immediately (after the send
-// charge), superseding any delayed ack pending. Selective receivers use it
-// for every duplicate and out-of-order arrival: the prompt, SACK-bearing
+// charge), superseding any delayed ack pending. The receiver uses it for
+// every duplicate and out-of-order arrival: the prompt, SACK-bearing
 // answer is what drives the sender's hole picture and its duplicate-ack
 // fast-retransmit counter.
 func (e *Endpoint) wSendFragAck(src frame.MID, wr *wrecv) {
@@ -1481,9 +1417,9 @@ func (e *Endpoint) wSendFragAck(src frame.MID, wr *wrecv) {
 }
 
 // wTransmitFragAck builds and transmits the standalone FRAGACK from the
-// receiver's current state: cumulative point plus — selective mode — the
-// SACK bitmap over the ooo buffer (zero bitmap encodes as a plain
-// cumulative ack, so the go-back-N wire is byte-identical to PR-5).
+// receiver's current state: cumulative point plus the SACK bitmap over the
+// ooo buffer (a zero bitmap encodes as a plain cumulative ack with no
+// extension bytes, which is all a loss-free wire ever carries).
 func (e *Endpoint) wTransmitFragAck(src frame.MID, wr *wrecv) {
 	bits := wr.sackBits()
 	e.iface.CountCumulativeAck()

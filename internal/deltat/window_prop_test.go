@@ -101,7 +101,7 @@ type windowPropOutcome struct {
 // DESIGN.md §11): every message is acked, delivered exactly once, in
 // order, with intact content — and after the kernel drains, both
 // endpoints are fully quiescent (no timers armed, no buffered state).
-func runWindowProperty(t *testing.T, seed int64, window int, mode RecoveryMode) windowPropOutcome {
+func runWindowProperty(t *testing.T, seed int64, window int) windowPropOutcome {
 	t.Helper()
 	const perDir = 12
 	var got12, got21 [][]byte
@@ -117,14 +117,13 @@ func runWindowProperty(t *testing.T, seed int64, window int, mode RecoveryMode) 
 	}
 	// The observer doubles as the AIMD invariant monitor: every window
 	// adaptation event must report a cwnd inside [1, ceiling], and no such
-	// event may ever fire under go-back-N (or stop-and-wait).
+	// event may ever fire under stop-and-wait.
 	mut := func(cfg *Config) {
-		cfg.Recovery = mode
 		cfg.Observer = func(ev Event) {
 			switch ev.Kind {
 			case EvWindowIncrease, EvWindowDecrease:
-				if mode != RecoverySelective || window <= 1 {
-					t.Errorf("%v event under mode %v window %d", ev.Kind, mode, window)
+				if window <= 1 {
+					t.Errorf("%v event under stop-and-wait", ev.Kind)
 				}
 				if ev.Attempt < 1 || ev.Attempt > window {
 					t.Errorf("%v reports cwnd %d outside [1, %d]", ev.Kind, ev.Attempt, window)
@@ -203,38 +202,32 @@ func runWindowProperty(t *testing.T, seed int64, window int, mode RecoveryMode) 
 }
 
 // TestWindowPropertyBattery is the transport conformance battery: 8 seeded
-// loss/duplicate/corrupt schedules × window depths {1, 2, 4, 8} × both
-// recovery modes for the windowed depths — each cell asserting exactly-once
-// in-order intact delivery, full acking, post-drain quiescence, and (via the
-// observer) that the AIMD cwnd never leaves [1, ceiling]. Every cell also
-// runs twice and must produce an identical (frames, final-time) fingerprint:
-// the fault schedule and the transport's reaction to it are pure functions
-// of the seed.
+// loss/duplicate/corrupt schedules × window depths {1, 2, 4, 8} — each cell
+// asserting exactly-once in-order intact delivery, full acking, post-drain
+// quiescence, and (via the observer) that the AIMD cwnd never leaves
+// [1, ceiling]. Every cell also runs twice and must produce an identical
+// (frames, final-time) fingerprint: the fault schedule and the transport's
+// reaction to it are pure functions of the seed.
 func TestWindowPropertyBattery(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 7, 11, 13, 17}
 	for _, window := range []int{1, 2, 4, 8} {
-		modes := []RecoveryMode{RecoverySelective}
-		if window > 1 {
-			modes = []RecoveryMode{RecoverySelective, RecoveryGoBackN}
-		}
-		for _, mode := range modes {
-			for _, seed := range seeds {
-				window, mode, seed := window, mode, seed
-				name := fmt.Sprintf("w%d/seed%d", window, seed)
-				if window > 1 {
-					name = fmt.Sprintf("w%d/%s/seed%d", window, mode, seed)
-				}
-				t.Run(name, func(t *testing.T) {
-					first := runWindowProperty(t, seed, window, mode)
-					again := runWindowProperty(t, seed, window, mode)
-					if first != again {
-						t.Fatalf("nondeterministic: %+v vs %+v", first, again)
-					}
-					if first.frames == 0 {
-						t.Fatal("no frames sent")
-					}
-				})
+		for _, seed := range seeds {
+			window, seed := window, seed
+			// Windowed cells name their engine; window 1 is stop-and-wait.
+			name := fmt.Sprintf("w%d/seed%d", window, seed)
+			if window > 1 {
+				name = fmt.Sprintf("w%d/selective/seed%d", window, seed)
 			}
+			t.Run(name, func(t *testing.T) {
+				first := runWindowProperty(t, seed, window)
+				again := runWindowProperty(t, seed, window)
+				if first != again {
+					t.Fatalf("nondeterministic: %+v vs %+v", first, again)
+				}
+				if first.frames == 0 {
+					t.Fatal("no frames sent")
+				}
+			})
 		}
 	}
 }

@@ -9,20 +9,18 @@ import (
 	"soda/internal/sim"
 )
 
-// Targeted tests for the selective-repeat recovery mode (DESIGN.md §12):
+// Targeted tests for the windowed engine's selective-repeat recovery
+// (DESIGN.md §12):
 // SACK bookkeeping, fast retransmit, the AIMD controller, the bounded
 // out-of-order buffer, and the two livelock guards (the reply-lost NACK and
 // the probe-state death clock). White-box tests drive the engine's entry
 // points directly where orchestrating the exact wire interleaving through
 // the bus would be fragile; everything they pin is deterministic state.
 
-// selCfg pins the recovery mode and optionally installs an event recorder.
-func selCfg(mode RecoveryMode, events *[]Event) func(*Config) {
+// recordEvents installs an event recorder on every endpoint of the rig.
+func recordEvents(events *[]Event) func(*Config) {
 	return func(cfg *Config) {
-		cfg.Recovery = mode
-		if events != nil {
-			cfg.Observer = func(ev Event) { *events = append(*events, ev) }
-		}
+		cfg.Observer = func(ev Event) { *events = append(*events, ev) }
 	}
 }
 
@@ -33,55 +31,53 @@ func selCfg(mode RecoveryMode, events *[]Event) func(*Config) {
 // re-charge on every duplicate, and the recovery timer's generation/backoff,
 // whose reset would let a dup-ack storm starve the retransmit path.
 func TestWindowDupAckNoReadyCharge(t *testing.T) {
-	for _, mode := range []RecoveryMode{RecoverySelective, RecoveryGoBackN} {
-		t.Run(mode.String(), func(t *testing.T) {
-			r := newWindowRigCfg(t, 1, 4, selCfg(mode, nil), []frame.MID{1, 2}, nil)
-			e := r.eps[1]
-			var res *Result
-			e.Send(2, make([]byte, 2600), nil, func(got Result) { res = &got })
-			checked := false
-			r.k.At(200*time.Microsecond, func() {
-				ws := e.wout[2]
-				if ws == nil || len(ws.frames) == 0 {
-					t.Fatal("no unacknowledged frames at check time")
-				}
-				ready0, line0 := ws.readyAt, ws.lineFreeAt
-				gen0, interval0, frames0 := ws.timerGen, ws.interval, len(ws.frames)
-				dup := ws.frames[0].seq - 1 // cumulative point already passed
-				// Stay under fastRetransmitDupAcks so the only acceptable
-				// reaction is "nothing at all".
-				for i := 0; i < fastRetransmitDupAcks-1; i++ {
-					e.wProcess(&frame.TransportFrame{
-						Kind: frame.TransportFragAck, Src: 2, Dst: 1,
-						Seq: dup, ConnOpen: true,
-					})
-				}
-				if ws.readyAt != ready0 || ws.lineFreeAt != line0 {
-					t.Errorf("duplicate cum ack charged the serializers: readyAt %v->%v lineFreeAt %v->%v",
-						ready0, ws.readyAt, line0, ws.lineFreeAt)
-				}
-				if ws.timerGen != gen0 || ws.interval != interval0 {
-					t.Error("duplicate cum ack reset the recovery timer")
-				}
-				if len(ws.frames) != frames0 {
-					t.Errorf("duplicate cum ack released frames: %d -> %d", frames0, len(ws.frames))
-				}
-				checked = true
-			})
-			if err := r.k.Run(); err != nil {
-				t.Fatalf("Run: %v", err)
+	t.Run("selective", func(t *testing.T) {
+		r := newWindowRig(t, 1, 4, []frame.MID{1, 2}, nil)
+		e := r.eps[1]
+		var res *Result
+		e.Send(2, make([]byte, 2600), nil, func(got Result) { res = &got })
+		checked := false
+		r.k.At(200*time.Microsecond, func() {
+			ws := e.wout[2]
+			if ws == nil || len(ws.frames) == 0 {
+				t.Fatal("no unacknowledged frames at check time")
 			}
-			if !checked {
-				t.Fatal("check never ran")
+			ready0, line0 := ws.readyAt, ws.lineFreeAt
+			gen0, interval0, frames0 := ws.timerGen, ws.interval, len(ws.frames)
+			dup := ws.frames[0].seq - 1 // cumulative point already passed
+			// Stay under fastRetransmitDupAcks so the only acceptable
+			// reaction is "nothing at all".
+			for i := 0; i < fastRetransmitDupAcks-1; i++ {
+				e.wProcess(&frame.TransportFrame{
+					Kind: frame.TransportFragAck, Src: 2, Dst: 1,
+					Seq: dup, ConnOpen: true,
+				})
 			}
-			if res == nil || res.Kind != ResultAcked {
-				t.Fatalf("result = %+v, want acked", res)
+			if ws.readyAt != ready0 || ws.lineFreeAt != line0 {
+				t.Errorf("duplicate cum ack charged the serializers: readyAt %v->%v lineFreeAt %v->%v",
+					ready0, ws.readyAt, line0, ws.lineFreeAt)
 			}
-			if st := r.b.Stats(); st.FragmentRetransmits != 0 {
-				t.Fatalf("%d spurious retransmits after duplicate acks on a clean wire", st.FragmentRetransmits)
+			if ws.timerGen != gen0 || ws.interval != interval0 {
+				t.Error("duplicate cum ack reset the recovery timer")
 			}
+			if len(ws.frames) != frames0 {
+				t.Errorf("duplicate cum ack released frames: %d -> %d", frames0, len(ws.frames))
+			}
+			checked = true
 		})
-	}
+		if err := r.k.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if !checked {
+			t.Fatal("check never ran")
+		}
+		if res == nil || res.Kind != ResultAcked {
+			t.Fatalf("result = %+v, want acked", res)
+		}
+		if st := r.b.Stats(); st.FragmentRetransmits != 0 {
+			t.Fatalf("%d spurious retransmits after duplicate acks on a clean wire", st.FragmentRetransmits)
+		}
+	})
 }
 
 // TestWindowProbeLivelockDies is the livelock regression: a receiver that
@@ -92,34 +88,32 @@ func TestWindowDupAckNoReadyCharge(t *testing.T) {
 // the Delta-t bound instead of probing forever — exactly like stop-and-wait,
 // where the held duplicate earns silence and the clock runs out.
 func TestWindowProbeLivelockDies(t *testing.T) {
-	for _, mode := range []RecoveryMode{RecoverySelective, RecoveryGoBackN} {
-		t.Run(mode.String(), func(t *testing.T) {
-			hooks := map[frame.MID]Hooks{
-				2: {OnData: func(frame.MID, []byte) Decision {
-					return Decision{Verdict: VerdictHold, HoldTimeout: -1} // never resolved
-				}},
-			}
-			r := newWindowRigCfg(t, 1, 4, selCfg(mode, nil), []frame.MID{1, 2}, hooks)
-			var res *Result
-			var at sim.Time
-			r.eps[1].Send(2, make([]byte, 2600), nil, func(got Result) {
-				res = &got
-				at = r.k.Now()
-			})
-			if err := r.k.Run(); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if res == nil || res.Kind != ResultPeerDead {
-				t.Fatalf("result = %+v, want peer-dead (not a probe livelock)", res)
-			}
-			if bound := 3 * sim.Time(DefaultConfig().DeadAfter()); at > bound {
-				t.Fatalf("declared dead at %v, after the %v bound — probe acks kept the deadline alive", at, bound)
-			}
-			if !r.eps[1].Quiescent() {
-				t.Fatal("sender not quiescent after peer death")
-			}
+	t.Run("selective", func(t *testing.T) {
+		hooks := map[frame.MID]Hooks{
+			2: {OnData: func(frame.MID, []byte) Decision {
+				return Decision{Verdict: VerdictHold, HoldTimeout: -1} // never resolved
+			}},
+		}
+		r := newWindowRig(t, 1, 4, []frame.MID{1, 2}, hooks)
+		var res *Result
+		var at sim.Time
+		r.eps[1].Send(2, make([]byte, 2600), nil, func(got Result) {
+			res = &got
+			at = r.k.Now()
 		})
-	}
+		if err := r.k.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if res == nil || res.Kind != ResultPeerDead {
+			t.Fatalf("result = %+v, want peer-dead (not a probe livelock)", res)
+		}
+		if bound := 3 * sim.Time(DefaultConfig().DeadAfter()); at > bound {
+			t.Fatalf("declared dead at %v, after the %v bound — probe acks kept the deadline alive", at, bound)
+		}
+		if !r.eps[1].Quiescent() {
+			t.Fatal("sender not quiescent after peer death")
+		}
+	})
 }
 
 // ackDropSchedule drops message-completion ACK frames before the cutoff,
@@ -208,11 +202,11 @@ func (s *dropNthFrag) Judge(_ sim.Time, _, _ frame.MID, raw []byte) bus.FaultAct
 
 // TestSelectiveFastRetransmit: one lost fragment inside a deep pipeline is
 // recovered by fast retransmit (round 1, before any recovery-timer fire),
-// repairs exactly the hole, and every retransmission under selective repeat
-// is a selective one — no go-back-N flood.
+// repairs exactly the hole, and every retransmission is a hole re-send —
+// no whole-pipeline flood.
 func TestSelectiveFastRetransmit(t *testing.T) {
 	var events []Event
-	r := newWindowRigCfg(t, 1, 8, selCfg(RecoverySelective, &events), []frame.MID{1, 2}, nil)
+	r := newWindowRigCfg(t, 1, 8, recordEvents(&events), []frame.MID{1, 2}, nil)
 	r.b.SetFaultModel(&dropNthFrag{n: 2})
 	acked := 0
 	for i := 0; i < 4; i++ {
@@ -233,7 +227,7 @@ func TestSelectiveFastRetransmit(t *testing.T) {
 		t.Fatal("SelectiveRetransmits = 0; the dropped fragment was never repaired selectively")
 	}
 	if st.FragmentRetransmits != st.SelectiveRetransmits {
-		t.Fatalf("FragmentRetransmits %d != SelectiveRetransmits %d: go-back-N style resends leaked in",
+		t.Fatalf("FragmentRetransmits %d != SelectiveRetransmits %d: something other than a hole was re-sent",
 			st.FragmentRetransmits, st.SelectiveRetransmits)
 	}
 	if st.SackBlocksSent == 0 {
@@ -254,7 +248,7 @@ func TestSelectiveFastRetransmit(t *testing.T) {
 // advertised frames, and a later marked frame is only released by the
 // cumulative point (SACK never renege-releases).
 func TestSelectiveSackMarking(t *testing.T) {
-	r := newWindowRigCfg(t, 1, 8, selCfg(RecoverySelective, nil), []frame.MID{1}, nil)
+	r := newWindowRig(t, 1, 8, []frame.MID{1}, nil)
 	e := r.eps[1]
 	e.Send(2, make([]byte, 2600), nil, nil) // frags seq 0,1,2 — no peer, never acked
 	ws := e.wout[2]
@@ -294,7 +288,7 @@ func drained(ws *wsend) {
 // unacknowledged, halving cwnd to its floor of 1.
 func TestSelectiveAntiRenegeAndAIMD(t *testing.T) {
 	var events []Event
-	r := newWindowRigCfg(t, 1, 4, selCfg(RecoverySelective, &events), []frame.MID{1}, nil)
+	r := newWindowRigCfg(t, 1, 4, recordEvents(&events), []frame.MID{1}, nil)
 	e := r.eps[1]
 	e.Send(2, make([]byte, 2600), nil, nil) // frags seq 0,1,2 — no peer
 	ws := e.wout[2]
@@ -350,7 +344,7 @@ func TestSelectiveAntiRenegeAndAIMD(t *testing.T) {
 // this pins that both signals actually fire).
 func TestSelectiveAIMDRegrow(t *testing.T) {
 	var events []Event
-	r := newWindowRigCfg(t, 3, 8, selCfg(RecoverySelective, &events), []frame.MID{1, 2}, nil)
+	r := newWindowRigCfg(t, 3, 8, recordEvents(&events), []frame.MID{1, 2}, nil)
 	r.b.SetFaultModel(&wireSchedule{k: r.k, cutoff: sim.Time(500 * time.Millisecond), loss: 0.35})
 	acked, resolved := 0, 0
 	// Deep bursts keep the pipeline full through the lossy phase (so a
@@ -401,7 +395,7 @@ func TestSelectiveAIMDRegrow(t *testing.T) {
 // a non-compliant peer overflows it, evicts the fragment farthest past the
 // cumulative point — deterministically.
 func TestSelectiveOOOBufferBounds(t *testing.T) {
-	r := newWindowRigCfg(t, 1, 8, selCfg(RecoverySelective, nil), []frame.MID{1, 2}, nil)
+	r := newWindowRig(t, 1, 8, []frame.MID{1, 2}, nil)
 	e := r.eps[2]
 	wr := e.wrecvFor(1)
 	wr.valid = true

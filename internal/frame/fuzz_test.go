@@ -69,7 +69,7 @@ func capturedFrames(tb testing.TB) [][]byte {
 // messages between Window=4 endpoints, tapping every delivered frame. The
 // capture contains FRAG runs (first, middle, FragEnd, and Urgent-flagged
 // fragments), standalone FRAGACKs, piggybacked cumulative acks, and
-// go-back-N retransmissions — the whole §11 wire vocabulary.
+// fragment retransmissions — the whole §11 wire vocabulary.
 func capturedWindowFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	k := sim.New(7)
@@ -122,8 +122,8 @@ func capturedWindowFrames(tb testing.TB) [][]byte {
 // lossy wire (30%), where the receiver's out-of-order buffer fills and
 // every standalone FRAGACK carries a SACK bitmap of the holes. The corpus
 // this yields — FRAGACKs with nonzero SackBits, selective retransmissions,
-// completion probes — is the DESIGN.md §12 wire vocabulary that the clean
-// and go-back-N rigs can never produce.
+// completion probes — is the DESIGN.md §12 wire vocabulary that the
+// clean and lightly lossy rigs rarely produce.
 func capturedSackFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	k := sim.New(11)
@@ -138,7 +138,6 @@ func capturedSackFrames(tb testing.TB) [][]byte {
 
 	dcfg := deltat.DefaultConfig()
 	dcfg.Window = 8
-	dcfg.Recovery = deltat.RecoverySelective
 	mk := func(mid frame.MID) *deltat.Endpoint {
 		ep, err := deltat.New(k, b.Wire(), mid, dcfg, deltat.Hooks{
 			OnData: func(frame.MID, []byte) deltat.Decision {

@@ -91,8 +91,8 @@ type Kernel struct {
 
 // New returns a Kernel whose random source is seeded deterministically. The
 // pending-event store is a hierarchical timer wheel (see wheel.go); its
-// event ordering is byte-identical to the reference binary heap, which
-// newWithQueue can substitute for differential testing.
+// event ordering is byte-identical to the binary heap it replaced, which
+// wheel_test.go keeps as an oracle and substitutes through newWithQueue.
 func New(seed int64) *Kernel { return newWithQueue(seed, newWheel()) }
 
 func newWithQueue(seed int64, q eventQueue) *Kernel {

@@ -5,11 +5,11 @@ import (
 	"math/bits"
 )
 
-// eventQueue is the scheduler's pending-event store. Two implementations
-// exist: heapQueue (the original binary heap, kept as the reference ordering
-// for differential tests) and wheel (a hierarchical timer wheel, the
-// default). Both must yield the exact same total order — (t, seq) ascending —
-// or traces stop being reproducible across scheduler implementations.
+// eventQueue is the scheduler's pending-event store. The wheel below (a
+// hierarchical timer wheel) is the one production implementation; the
+// interface stays so that wheel_test.go can substitute its binary-heap
+// oracle through newWithQueue. Any implementation must yield the exact same
+// total order — (t, seq) ascending — or traces stop being reproducible.
 type eventQueue interface {
 	push(*event)
 	pop() *event
@@ -17,31 +17,6 @@ type eventQueue interface {
 	peekTime() (Time, bool)
 	len() int
 }
-
-// heapQueue adapts eventHeap to the eventQueue interface. O(log n) insert
-// and pop; the reference implementation.
-type heapQueue struct{ h eventHeap }
-
-//lint:allow noalloc (amortized: heap storage grows to the peak pending-event count, then stabilizes)
-func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
-
-func (q *heapQueue) pop() *event { return heap.Pop(&q.h).(*event) }
-
-func (q *heapQueue) peek() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-
-func (q *heapQueue) peekTime() (Time, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].t, true
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
 
 const (
 	wheelSlotBits = 8

@@ -1,11 +1,37 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// heapQueue adapts eventHeap to the eventQueue interface: the original
+// binary-heap scheduler, O(log n) insert and pop, kept here as the reference
+// ordering the differential tests hold the wheel to.
+type heapQueue struct{ h eventHeap }
+
+func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
+
+func (q *heapQueue) pop() *event { return heap.Pop(&q.h).(*event) }
+
+func (q *heapQueue) peek() *event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return q.h[0]
+}
+
+func (q *heapQueue) peekTime() (Time, bool) {
+	if len(q.h) == 0 {
+		return 0, false
+	}
+	return q.h[0].t, true
+}
+
+func (q *heapQueue) len() int { return len(q.h) }
 
 // drain pops a queue to exhaustion and returns the (t, seq) order.
 func drain(q eventQueue) [][2]uint64 {

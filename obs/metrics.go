@@ -55,7 +55,7 @@ type NodeCounters struct {
 	WindowFills     uint64 `json:"window_fills,omitempty"`
 	CumulativeAcks  uint64 `json:"cumulative_acks,omitempty"`
 	FragRetransmits uint64 `json:"frag_retransmits,omitempty"`
-	// Selective-repeat machinery (RecoverySelective only; DESIGN.md §12).
+	// Selective-repeat machinery (DESIGN.md §12).
 	SelectiveRetransmits uint64 `json:"selective_retransmits,omitempty"`
 	SackAcks             uint64 `json:"sack_acks,omitempty"`
 	WindowIncreases      uint64 `json:"window_increases,omitempty"`

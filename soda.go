@@ -223,27 +223,13 @@ func WithPipelined(on bool) Option {
 // messages (DESIGN.md §11). Values <= 1 keep the paper-faithful
 // alternating-bit stop-and-wait transport, bit-identical to the default;
 // values > 1 enable fragmentation and pipelining of reliable messages for
-// bulk throughput. Order with care: WithNodeConfig replaces the whole node
-// configuration, including this field.
+// bulk throughput, with selective-repeat loss recovery (DESIGN.md §12).
+// The transport clamps the depth to 32 messages (deltat.MaxWindowMessages):
+// a larger value runs at 32, and a negative one as stop-and-wait. Order
+// with care: WithNodeConfig replaces the whole node configuration,
+// including this field.
 func WithTransportWindow(w int) Option {
 	return optionFunc(func(o *options) { o.nodeCfg.Transport.Window = w })
-}
-
-// Recovery modes for WithTransportRecovery (DESIGN.md §12). Selective is
-// the default: SACK-driven hole repair with an AIMD congestion window.
-// GoBackN restores the original discard-and-replay recovery.
-const (
-	RecoverySelective = deltat.RecoverySelective
-	RecoveryGoBackN   = deltat.RecoveryGoBackN
-)
-
-// WithTransportRecovery selects the windowed transport's loss-recovery
-// strategy (DESIGN.md §12). Only meaningful with WithTransportWindow > 1;
-// the stop-and-wait transport has no fragments to recover. Order with
-// care: WithNodeConfig replaces the whole node configuration, including
-// this field.
-func WithTransportRecovery(m deltat.RecoveryMode) Option {
-	return optionFunc(func(o *options) { o.nodeCfg.Transport.Recovery = m })
 }
 
 // WithTopology splits the network into t.Segments bus segments joined by

@@ -22,6 +22,7 @@ import (
 
 	"soda"
 	"soda/faults"
+	"soda/internal/deltat"
 	"soda/internal/sim"
 	"soda/obs"
 )
@@ -52,13 +53,11 @@ type Spec struct {
 	// Window sets the transport's sliding-window depth on every node
 	// (deltat.Config.Window, DESIGN.md §11). Zero or one is the
 	// paper-faithful stop-and-wait transport; the metamorphic battery pins
-	// that Window<=1 sweeps hash identically to pre-window builds.
+	// that Window<=1 sweeps hash identically to pre-window builds. The
+	// transport clamps the depth to deltat.MaxWindowMessages, so Keys
+	// rejects anything outside [0, that]: the report echoes this field and
+	// must not name a window that never ran.
 	Window int `json:"window,omitempty"`
-	// Recovery selects the windowed transport's loss-recovery strategy
-	// (DESIGN.md §12): "" or "selective" for selective repeat with SACK
-	// and the AIMD window, "gobackn" for the legacy full-window resend.
-	// Only meaningful with Window > 1.
-	Recovery string `json:"recovery,omitempty"`
 	// Segments splits every run's network into a star internetwork of this
 	// many gateway-joined bus segments (DESIGN.md §13); nodes land on
 	// segment mid % Segments. 0 or 1 is the classic single shared bus —
@@ -224,10 +223,8 @@ func (s Spec) Keys() ([]RunKey, error) {
 	if s.Horizon <= 0 {
 		return nil, fmt.Errorf("sweep: horizon must be positive")
 	}
-	switch s.Recovery {
-	case "", "selective", "gobackn":
-	default:
-		return nil, fmt.Errorf("sweep: unknown recovery mode %q (want selective or gobackn)", s.Recovery)
+	if s.Window < 0 || s.Window > deltat.MaxWindowMessages {
+		return nil, fmt.Errorf("sweep: window must be in [0, %d], got %d", deltat.MaxWindowMessages, s.Window)
 	}
 	if s.Segments < 0 {
 		return nil, fmt.Errorf("sweep: segments must be >= 0, got %d", s.Segments)
@@ -293,9 +290,6 @@ func runOne(spec Spec, key RunKey) RunResult {
 	}
 	if spec.Window > 1 {
 		opts = append(opts, soda.WithTransportWindow(spec.Window))
-		if spec.Recovery == "gobackn" {
-			opts = append(opts, soda.WithTransportRecovery(soda.RecoveryGoBackN))
-		}
 	}
 	if key.PlanSeed != 0 {
 		mids := make([]faults.MID, key.Nodes)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"soda/internal/deltat"
 	"soda/sweep"
 )
 
@@ -180,50 +181,57 @@ func TestPhilosophersScenario(t *testing.T) {
 }
 
 // TestBulkTransferScenario covers the windowed bulk workload (DESIGN.md
-// §12) under both recovery modes, each with a fault-free control column
-// and a generated chaos column. Every run must resolve all requests and
-// pass the invariant checkers — selective repeat and go-back-N may differ
-// wildly in cost, never in outcome.
+// §12) with a fault-free control column and a generated chaos column.
+// Every run must resolve all requests and pass the invariant checkers.
 func TestBulkTransferScenario(t *testing.T) {
-	for _, recovery := range []string{"selective", "gobackn"} {
-		rep, err := sweep.Run(sweep.Spec{
-			Scenario:  "bulktransfer",
-			Seeds:     []int64{1, 2},
-			PlanSeeds: []int64{0, 5},
-			Nodes:     []int{2, 3},
-			Horizon:   2 * time.Second,
-			Checks:    true,
-			Window:    8,
-			Recovery:  recovery,
-		}, 4)
-		if err != nil {
-			t.Fatal(err)
+	rep, err := sweep.Run(sweep.Spec{
+		Scenario:  "bulktransfer",
+		Seeds:     []int64{1, 2},
+		PlanSeeds: []int64{0, 5},
+		Nodes:     []int{2, 3},
+		Horizon:   2 * time.Second,
+		Checks:    true,
+		Window:    8,
+	}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rep.Runs {
+		if r.Err != "" {
+			t.Errorf("run %v failed: %s", r.Key, r.Err)
 		}
-		for _, r := range rep.Runs {
-			if r.Err != "" {
-				t.Errorf("%s run %v failed: %s", recovery, r.Key, r.Err)
-			}
-			if r.FramesSent == 0 {
-				t.Errorf("%s run %v sent no frames", recovery, r.Key)
-			}
-			for _, v := range r.Violations {
-				t.Errorf("%s run %v violation: %s", recovery, r.Key, v)
-			}
-			if r.Unresolved != 0 {
-				t.Errorf("%s run %v left %d requests unresolved", recovery, r.Key, r.Unresolved)
-			}
+		if r.FramesSent == 0 {
+			t.Errorf("run %v sent no frames", r.Key)
+		}
+		for _, v := range r.Violations {
+			t.Errorf("run %v violation: %s", r.Key, v)
+		}
+		if r.Unresolved != 0 {
+			t.Errorf("run %v left %d requests unresolved", r.Key, r.Unresolved)
 		}
 	}
 }
 
-// TestBulkTransferRecoveryValidation pins the Spec.Recovery vocabulary.
-func TestBulkTransferRecoveryValidation(t *testing.T) {
-	_, err := sweep.Run(sweep.Spec{
+// TestWindowRangeValidation: the transport clamps its window to
+// deltat.MaxWindowMessages, and the report echoes Spec.Window verbatim, so
+// a spec outside [0, clamp] must be rejected rather than run at a depth the
+// report then misstates.
+func TestWindowRangeValidation(t *testing.T) {
+	spec := sweep.Spec{
 		Scenario: "bulktransfer", Seeds: []int64{1}, Nodes: []int{2},
-		Horizon: time.Second, Window: 8, Recovery: "vegas",
-	}, 1)
-	if err == nil {
-		t.Fatal("unknown recovery mode accepted")
+		Horizon: time.Second,
+	}
+	for _, w := range []int{-1, deltat.MaxWindowMessages + 1, 64} {
+		spec.Window = w
+		if _, err := spec.Keys(); err == nil {
+			t.Errorf("window %d accepted", w)
+		}
+	}
+	for _, w := range []int{0, 1, 8, deltat.MaxWindowMessages} {
+		spec.Window = w
+		if _, err := spec.Keys(); err != nil {
+			t.Errorf("window %d rejected: %v", w, err)
+		}
 	}
 }
 
