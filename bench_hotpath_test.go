@@ -5,7 +5,8 @@
 // full chaos sweep. They are the profiling entry points (-benchmem,
 // -cpuprofile); the numbers of record for the same three paths come from
 // benchmark/ (core.boot_*, rtt_small allocs_per_op, chaos_sweep), which is
-// re-derived on every PR.
+// re-derived on every PR. TestRequestRoundTripAllocBudget is the one
+// tier-1 check among them: it holds the round trip's allocation count.
 package soda_test
 
 import (
@@ -49,8 +50,8 @@ func registerEcho(nw *soda.Network, rounds int, last *soda.CallResult) {
 }
 
 // BenchmarkBoot measures building a two-node network, booting a server and
-// a client, and running one DISCOVER + one EXCHANGE to completion — the
-// fixed cost every sweep run pays before its workload starts.
+// a client, running one DISCOVER + one EXCHANGE to completion, and closing
+// the network — the fixed cost every sweep run pays around its workload.
 func BenchmarkBoot(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -68,13 +69,16 @@ func BenchmarkBoot(b *testing.B) {
 		if last.Status != soda.StatusSuccess {
 			b.Fatalf("exchange failed: %v", last.Status)
 		}
+		_ = nw.Close() // ends the server parked in its handler
 	}
 }
 
 // BenchmarkRequestRoundTrip measures one blocking EXCHANGE round trip on a
 // warm two-node network: REQUEST out, ACCEPT back, both riding the Delta-t
 // transport. allocs/op here is the per-transaction footprint of the whole
-// frame/bus/scheduler stack (setup is amortized over b.N round trips).
+// frame/bus/scheduler stack (setup is amortized over b.N round trips): 51
+// since the timer wheel reuses its slot arrays and finished handler
+// processes hand their goroutines to the next one, 73 before.
 func BenchmarkRequestRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	var last soda.CallResult
@@ -90,6 +94,7 @@ func BenchmarkRequestRoundTrip(b *testing.B) {
 	if last.Status != soda.StatusSuccess {
 		b.Fatalf("exchange failed: %v", last.Status)
 	}
+	_ = nw.Close()
 }
 
 // BenchmarkChaosSweep measures a small sequential seed×plan sweep of the
@@ -114,5 +119,41 @@ func BenchmarkChaosSweep(b *testing.B) {
 		if len(rep.Runs) != 4 {
 			b.Fatalf("got %d runs, want 4", len(rep.Runs))
 		}
+	}
+}
+
+// roundTripAllocBudget is the steady-state allocation count of one blocking
+// EXCHANGE round trip (BenchmarkRequestRoundTrip's allocs/op, and the
+// benchmark's rtt_small allocs_per_op). The noalloc analyzer proves the path
+// statically but trusts its amortized: and counted: suppressions; this is the
+// dynamic check that holds them to the measured count. Lower it when a
+// change removes allocations; never raise it to make a change fit.
+const roundTripAllocBudget = 52
+
+// TestRequestRoundTripAllocBudget measures the marginal allocations of one
+// round trip: two otherwise identical runs differ only in their number of
+// rounds, so network setup, boot and DISCOVER cancel out of the difference.
+func TestRequestRoundTripAllocBudget(t *testing.T) {
+	run := func(rounds int) func() {
+		return func() {
+			var last soda.CallResult
+			nw := soda.NewNetwork(soda.WithSeed(1))
+			registerEcho(nw, rounds, &last)
+			nw.MustAddNode(1)
+			nw.MustAddNode(2)
+			nw.MustBoot(1, "server")
+			nw.MustBoot(2, "client")
+			_ = nw.RunToCompletion() // ends in expected server-parked suspension
+			if last.Status != soda.StatusSuccess {
+				t.Fatalf("exchange failed: %v", last.Status)
+			}
+			_ = nw.Close()
+		}
+	}
+	const few, many = 10, 210
+	perRound := (testing.AllocsPerRun(3, run(many)) - testing.AllocsPerRun(3, run(few))) / (many - few)
+	t.Logf("%.2f allocs per round trip (budget %d)", perRound, roundTripAllocBudget)
+	if perRound > roundTripAllocBudget {
+		t.Fatalf("one REQUEST round trip allocates %.2f times, over the budget of %d", perRound, roundTripAllocBudget)
 	}
 }

@@ -264,6 +264,7 @@ func runPhilosophers(seed int64, d time.Duration) error {
 	if err != nil {
 		return err
 	}
+	defer nw.Close() // end the run's parked processes once it is reported
 	nw.Register("timesrv", timesrv.Program(16))
 	nw.MustAddNode(1)
 	nw.MustBoot(1, "timesrv")
@@ -299,6 +300,7 @@ func runFileServer(seed int64, d time.Duration) error {
 	if err != nil {
 		return err
 	}
+	defer nw.Close() // end the run's parked processes once it is reported
 	nw.Register("fs", fileserver.Server(map[string][]byte{
 		"motd": []byte("welcome to the SODA file service"),
 	}, 32))
@@ -342,6 +344,7 @@ func runBoot(seed int64, d time.Duration) error {
 	if err != nil {
 		return err
 	}
+	defer nw.Close() // end the run's parked processes once it is reported
 	nw.Register("child", soda.Program{
 		Init: func(c *soda.Client, parent soda.MID) {
 			fmt.Printf("t=%8v  child booted on machine %d (parent %d)\n", c.Now(), c.MID(), parent)
@@ -387,6 +390,7 @@ func runCrash(seed int64, d time.Duration) error {
 	if err != nil {
 		return err
 	}
+	defer nw.Close() // end the run's parked processes once it is reported
 	pat := soda.WellKnownPattern(0o42)
 	nw.Register("server", soda.Program{
 		Init: func(c *soda.Client, _ soda.MID) { _ = c.Advertise(pat) },

@@ -110,13 +110,13 @@ func runSocket(scenario string, seed int64, d time.Duration) error {
 		fmt.Printf("client: machine 2 listening on %s\n", nw.SocketAddr())
 		nw.StartSocket(func() bool { return done })
 		if !nw.WaitSocket(d) {
-			nw.CloseSocket()
+			nw.Close()
 			return fmt.Errorf("client did not finish within %v", d)
 		}
 	default:
 		return fmt.Errorf("unknown -role %q for the fileserver scenario (want fs or client)", ncfg.role)
 	}
-	if err := nw.CloseSocket(); err != nil {
+	if err := nw.Close(); err != nil {
 		return fmt.Errorf("socket shutdown leaked: %v", err)
 	}
 	return nil

@@ -295,7 +295,11 @@ func (b *Bus) Attach(mid frame.MID, recv func(raw []byte)) (*Iface, error) {
 type busWire struct{ b *Bus }
 
 func (w busWire) Attach(mid frame.MID, recv func(raw []byte)) (wire.Iface, error) {
-	return w.b.Attach(mid, recv)
+	i, err := w.b.Attach(mid, recv)
+	if err != nil {
+		return nil, err // not a typed-nil *Iface inside a non-nil interface
+	}
+	return i, nil
 }
 
 // Wire exposes the bus as a transport medium (wire.Network). Delta-t

@@ -449,7 +449,25 @@ func (c *Coordinator) Run() error { return c.RunUntil(-1) }
 // single-threaded steps at global-event timestamps. Semantics mirror
 // Kernel.RunUntil: events at exactly the deadline run, bounded idle is
 // normal completion, and unbounded idle with live processes is ErrStalled.
+// Like Kernel.RunUntil it releases every kernel's idle process goroutines on
+// return.
 func (c *Coordinator) RunUntil(deadline Time) error {
+	err := c.runUntil(deadline)
+	for _, k := range c.all {
+		k.releaseIdle()
+	}
+	return err
+}
+
+// Close ends every shard's and the global kernel's processes (see
+// Kernel.Close). Call it once the last run has returned.
+func (c *Coordinator) Close() {
+	for _, k := range c.all {
+		k.Close()
+	}
+}
+
+func (c *Coordinator) runUntil(deadline Time) error {
 	c.processed = 0
 	for !c.anyStopped() {
 		t0, ok := c.nextTime()
@@ -499,7 +517,7 @@ func (c *Coordinator) anyStopped() bool {
 func (c *Coordinator) liveProcs() int {
 	n := 0
 	for _, k := range c.all {
-		n += k.procs
+		n += len(k.live)
 	}
 	return n
 }

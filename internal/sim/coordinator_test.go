@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -395,4 +396,34 @@ func TestCoordinatorIdleAndStallSemantics(t *testing.T) {
 	if err := c2.Run(); err != ErrStalled {
 		t.Fatalf("got %v, want ErrStalled", err)
 	}
+}
+
+// TestCoordinatorCloseEndsShardProcesses checks that a parallel run's
+// processes — parked on a shard and on the global kernel — are unwound by
+// Coordinator.Close, and that the finished ones' pooled goroutines were
+// already released when RunUntil returned.
+func TestCoordinatorCloseEndsShardProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c := NewCoordinator(1, 2, 2, tcLookahead)
+	unwound := 0
+	park := func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Suspend()
+	}
+	c.Shard(0).Spawn("done", func(p *Proc) { p.Hold(time.Millisecond) })
+	c.Shard(1).Spawn("parked", park)
+	c.Global().Spawn("parked", park)
+	if err := c.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range c.all {
+		if len(k.idle) != 0 {
+			t.Fatalf("%d idle workers survived RunUntil", len(k.idle))
+		}
+	}
+	c.Close()
+	if unwound != 2 {
+		t.Fatalf("%d parked processes unwound, want 2", unwound)
+	}
+	waitGoroutines(t, base)
 }

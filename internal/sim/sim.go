@@ -7,12 +7,21 @@
 // process at a time (control is handed between the scheduler goroutine and
 // process goroutines over unbuffered channels) and by breaking event-time
 // ties with a monotonically increasing sequence number.
+//
+// Process goroutines are pooled: a finished process parks its goroutine,
+// resume channel and grown stack for the next Spawn to reuse, so a handler
+// invocation costs a Proc record rather than a goroutine. Every return from
+// RunUntil (and Run) releases the parked goroutines, so a kernel dropped
+// between runs keeps no idle goroutine alive; processes still suspended or
+// holding when the caller is done are ended by Close, which unwinds each
+// through its deferred calls.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 )
 
@@ -73,15 +82,20 @@ type Kernel struct {
 	events  eventQueue
 	yield   chan struct{} // processes signal "I have yielded control"
 	rng     *rand.Rand
-	procs   int // live (started, not finished) processes
 	current *Proc
 	stopped bool
+	closing bool   // set by Close: resumed processes unwind instead of running on
 	limit   uint64 // safety valve on total events processed; 0 = unlimited
 	// free recycles event structs: every Hold, timer and delivery allocates
 	// one, so the scheduler's steady-state allocation rate would otherwise
 	// scale with event throughput. The freelist is bounded by the peak
 	// number of simultaneously pending events.
 	free []*event
+	// live lists the workers running a spawned, unfinished process (each
+	// knows its index); idle parks the workers of finished processes for
+	// Spawn to reuse until the next return from RunUntil releases them.
+	live []*worker
+	idle []*worker
 	// par is non-nil when this kernel is one shard of a parallel
 	// Coordinator (or its global kernel); it routes scheduling through the
 	// canonical-order machinery in coordinator.go. Nil for plain kernels,
@@ -238,10 +252,17 @@ func (k *Kernel) Run() error { return k.RunUntil(-1) }
 
 // RunUntil is Run bounded by an absolute virtual deadline; a negative
 // deadline means "no deadline". Events at exactly the deadline still run.
+// On return the idle process goroutines are released (see releaseIdle).
 func (k *Kernel) RunUntil(deadline Time) error {
 	if k.par != nil {
 		panic("sim: RunUntil on a coordinator-managed kernel; drive the Coordinator instead")
 	}
+	err := k.runUntil(deadline)
+	k.releaseIdle()
+	return err
+}
+
+func (k *Kernel) runUntil(deadline Time) error {
 	var processed uint64
 	for k.events.len() > 0 && !k.stopped {
 		if deadline >= 0 {
@@ -282,40 +303,131 @@ func (k *Kernel) RunUntil(deadline Time) error {
 		}
 		return nil
 	}
-	if k.procs > 0 && !k.stopped {
+	if len(k.live) > 0 && !k.stopped {
 		return ErrStalled
 	}
 	return nil
 }
 
-// Proc is a cooperative simulation process backed by a goroutine. Exactly
-// one Proc (or the scheduler) runs at any instant; a Proc relinquishes
-// control only inside Hold, Suspend, or by returning.
+// releaseIdle ends the parked goroutines of finished processes. Pooling pays
+// off within a run; between runs a kernel the caller drops without Close
+// must not keep goroutines alive.
+func (k *Kernel) releaseIdle() {
+	for i, w := range k.idle {
+		close(w.resume)
+		k.idle[i] = nil
+	}
+	k.idle = k.idle[:0]
+}
+
+// Close ends the simulation. Every live process — suspended, holding, or
+// spawned but not yet started — is resumed into runtime.Goexit, so its
+// deferred calls run and its goroutine exits, and then the idle goroutines
+// are released. Call it from outside any process once the last run has
+// returned; the kernel must not be run again. Close is idempotent.
+func (k *Kernel) Close() {
+	if k.current != nil {
+		panic("sim: Close from inside a process")
+	}
+	k.closing = true
+	// A deferred call may spawn while unwinding; the loop ends those too.
+	for len(k.live) > 0 {
+		w := k.live[len(k.live)-1]
+		k.current = w.p
+		w.resume <- struct{}{}
+		<-k.yield
+		k.current = nil
+	}
+	k.releaseIdle()
+}
+
+// Proc is a cooperative simulation process. Exactly one Proc (or the
+// scheduler) runs at any instant; a Proc relinquishes control only inside
+// Hold, Suspend, or by returning. A Proc is one spawn: its goroutine is
+// pooled, but the record is not, so a stale wake-up addressed to a finished
+// Proc is recognized by its finished flag and skipped.
 type Proc struct {
 	k        *Kernel
 	name     string
-	resume   chan struct{}
+	resume   chan struct{} // the running worker's channel
 	finished bool
 	waiting  bool // suspended, awaiting Resume
+}
+
+// worker is a pooled process goroutine (see serve). p and fn are the process
+// it runs, nil while it is parked on the idle list; slot is its index in
+// Kernel.live while it runs one.
+type worker struct {
+	resume chan struct{}
+	p      *Proc
+	fn     func(*Proc)
+	slot   int
 }
 
 // Spawn creates a process executing fn and schedules it to start at the
 // current virtual time. fn runs entirely under the scheduler's control.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
-	//lint:allow noalloc (counted: one process record and resume channel per spawned process)
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
-	k.procs++
-	//lint:allow noalloc (counted: one goroutine and body closure per spawned process)
-	go func() {
-		<-p.resume
-		//lint:allow noalloc (indirect: the process body; hot-path bodies are scanned at their creation sites)
-		fn(p)
-		p.finished = true
-		k.procs--
-		k.yield <- struct{}{}
-	}()
+	w := k.takeWorker()
+	//lint:allow noalloc (counted: one process record per spawn; the goroutine and channel are pooled)
+	p := &Proc{k: k, name: name, resume: w.resume}
+	w.p, w.fn, w.slot = p, fn, len(k.live)
+	//lint:allow noalloc (amortized: the live list grows to the peak number of concurrent processes)
+	k.live = append(k.live, w)
 	k.scheduleProc(p, k.now)
 	return p
+}
+
+// takeWorker reuses a parked process goroutine, or starts one.
+func (k *Kernel) takeWorker() *worker {
+	if n := len(k.idle); n > 0 {
+		w := k.idle[n-1]
+		k.idle[n-1] = nil
+		k.idle = k.idle[:n-1]
+		return w
+	}
+	//lint:allow noalloc (amortized: one worker and resume channel per new peak of concurrent processes)
+	w := &worker{resume: make(chan struct{})}
+	//lint:allow noalloc (amortized: one goroutine per new peak of concurrent processes)
+	go k.serve(w)
+	return w
+}
+
+// serve is a worker goroutine's loop: each value on resume starts the
+// process it was given, and a finished process parks the worker on the idle
+// list before handing control back. Closing resume (releaseIdle) ends it.
+func (k *Kernel) serve(w *worker) {
+	defer func() {
+		if w.p != nil && k.closing {
+			// Close unwound the process with runtime.Goexit; the goroutine
+			// ends with it, after handing control back.
+			k.retire(w)
+			k.yield <- struct{}{}
+		}
+	}()
+	for range w.resume {
+		if k.closing {
+			//lint:allow noalloc (cold: teardown of a process Close found spawned but not started)
+			runtime.Goexit()
+		}
+		//lint:allow noalloc (indirect: the process body; hot-path bodies are scanned at their creation sites)
+		w.fn(w.p)
+		k.retire(w)
+		//lint:allow noalloc (amortized: the idle list grows to the peak number of concurrent processes)
+		k.idle = append(k.idle, w)
+		k.yield <- struct{}{}
+	}
+}
+
+// retire marks w's process finished and removes w from the live list.
+func (k *Kernel) retire(w *worker) {
+	w.p.finished = true
+	last := len(k.live) - 1
+	moved := k.live[last]
+	moved.slot = w.slot
+	k.live[w.slot] = moved
+	k.live[last] = nil
+	k.live = k.live[:last]
+	w.p, w.fn = nil, nil
 }
 
 func (k *Kernel) scheduleProc(p *Proc, t Time) {
@@ -377,10 +489,21 @@ func (p *Proc) Resume() {
 // Suspended reports whether the process is currently blocked in Suspend.
 func (p *Proc) Suspended() bool { return p.waiting }
 
-// Finished reports whether the process function has returned.
+// Finished reports whether the process function has returned, or Close has
+// unwound it.
 func (p *Proc) Finished() bool { return p.finished }
 
 func (p *Proc) yieldAndWait() {
-	p.k.yield <- struct{}{}
+	k := p.k
+	if k.closing {
+		// A deferred call blocked while Close unwinds this process.
+		//lint:allow noalloc (cold: teardown; Close is ending the run)
+		runtime.Goexit()
+	}
+	k.yield <- struct{}{}
 	<-p.resume
+	if k.closing {
+		//lint:allow noalloc (cold: teardown; Close resumes every live process into Goexit)
+		runtime.Goexit()
+	}
 }

@@ -50,7 +50,12 @@ type wheel struct {
 	levels    [wheelLevels][wheelSlots][]*event
 	occ       [wheelLevels][wheelOccWords]uint64 // per-level slot occupancy bitmaps
 	overflow  []*event                           // events beyond the top level's span
-	size      int
+	// spare holds drained slot arrays, cleared, for place to reuse when it
+	// fills an empty slot. Retained slot storage is then bounded by the peak
+	// number of simultaneously occupied slots rather than by every slot the
+	// clock has ever touched, and a steady-state insert never allocates.
+	spare [][]*event
+	size  int
 }
 
 func newWheel() *wheel { return &wheel{} }
@@ -75,8 +80,16 @@ func (w *wheel) place(ev *event) {
 		above := wheelShift(l + 1)
 		if ev.t>>above == w.cur>>above {
 			s := int(ev.t>>wheelShift(l)) & (wheelSlots - 1)
-			//lint:allow noalloc (amortized: slot storage grows to its peak occupancy, then stabilizes)
-			w.levels[l][s] = append(w.levels[l][s], ev)
+			slot := w.levels[l][s]
+			if cap(slot) == 0 {
+				if n := len(w.spare); n > 0 {
+					slot = w.spare[n-1]
+					w.spare[n-1] = nil
+					w.spare = w.spare[:n-1]
+				}
+			}
+			//lint:allow noalloc (amortized: a slot array grows to its peak occupancy, then circulates through the spare list)
+			w.levels[l][s] = append(slot, ev)
 			w.occ[l][s>>6] |= 1 << (uint(s) & 63)
 			return
 		}
@@ -91,6 +104,14 @@ func (w *wheel) takeSlot(l, s int) []*event {
 	w.levels[l][s] = nil
 	w.occ[l][s>>6] &^= 1 << (uint(s) & 63)
 	return evs
+}
+
+// giveBack clears a drained slot array, so the events it referenced are not
+// retained, and files it on the spare list for place to reuse.
+func (w *wheel) giveBack(evs []*event) {
+	clear(evs)
+	//lint:allow noalloc (amortized: the spare list grows to the peak number of occupied slots, then stabilizes)
+	w.spare = append(w.spare, evs[:0])
 }
 
 // firstSlot finds the lowest-index occupied slot of level l. Occupied slots
@@ -121,6 +142,7 @@ func (w *wheel) refill() bool {
 			w.cur = start
 			w.bucketEnd = start + Time(1)<<wheelShift(0)
 			w.bucket = append(w.bucket[:0], evs...)
+			w.giveBack(evs)
 			heap.Init(&w.bucket)
 			return true
 		}
@@ -160,6 +182,7 @@ func (w *wheel) cascade() bool {
 		for _, ev := range evs {
 			w.place(ev)
 		}
+		w.giveBack(evs) // only now: place may not take the array it is draining
 		return true
 	}
 	return false

@@ -14,6 +14,12 @@ import (
 // Package, the unit RunAnalyzers consumes.
 func parsePkg(t *testing.T, src string) *Package {
 	t.Helper()
+	return parsePkgAt(t, "a", src)
+}
+
+// parsePkgAt is parsePkg for a package with the given import path.
+func parsePkgAt(t *testing.T, path, src string) *Package {
+	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "a.go", src, parser.ParseComments)
 	if err != nil {
@@ -25,11 +31,11 @@ func parsePkg(t *testing.T, src string) *Package {
 		Defs:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	tpkg, err := (&types.Config{}).Check("a", fset, []*ast.File{f}, info)
+	tpkg, err := (&types.Config{}).Check(path, fset, []*ast.File{f}, info)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Package{Path: "a", Dir: ".", Fset: fset, Files: []*ast.File{f}, Types: tpkg, Info: info}
+	return &Package{Path: path, Dir: ".", Fset: fset, Files: []*ast.File{f}, Types: tpkg, Info: info}
 }
 
 func TestCollectAllowsScope(t *testing.T) {

@@ -825,6 +825,28 @@ func (nw *Network) RunToCompletion() error {
 	return nw.k.Run()
 }
 
+// Close ends the network once its last run has returned: every process
+// still suspended or holding — on the kernel, or on every shard of a
+// parallel network — is unwound through its deferred calls and its
+// goroutine exits. On a socket network it first does what CloseSocket does
+// and returns that error, leaving the kernel alone when the socket side
+// failed to stop. Results read before Close (Stats, Invariants, Profile,
+// trace hashes) are unaffected, and a closed network must not be run
+// again. Close is idempotent.
+func (nw *Network) Close() error {
+	if nw.nx != nil {
+		if err := nw.nx.Close(); err != nil {
+			return err
+		}
+	}
+	if nw.coord != nil {
+		nw.coord.Close()
+		return nil
+	}
+	nw.k.Close()
+	return nil
+}
+
 // ParStats reports the parallel scheduler's deterministic counters: the
 // zero value on a plain sequential network, FallbackSequential (with the
 // requested worker count) when WithParallelSim degraded, and live window /

@@ -333,6 +333,9 @@ func runOne(spec Spec, key RunKey) RunResult {
 	if spec.Instrument {
 		res.Profile = nw.Profile(key.String())
 	}
+	// Everything reported has been read; end the run's parked processes so
+	// a long sweep does not accumulate them.
+	_ = nw.Close()
 	return res
 }
 
