@@ -1,126 +1,153 @@
+// Lossy-window measurement: virtual time to complete a reliable bulk
+// transfer as a function of frame-loss rate and window depth (DESIGN.md
+// §12, EXPERIMENTS.md E7). Unlike the clean window sweep, this one drives
+// the Delta-t transport directly: the kernel's streaming client caps
+// outstanding REQUESTs at three, which never fills a deep window, so
+// recovery behavior only shows at the transport layer. Each cell sends a
+// fixed batch of multi-fragment messages over a uniformly lossy bus and
+// re-submits any message the transport fails (peer-dead after a silence
+// window is a legitimate verdict under heavy loss, and a bulk-transfer
+// application would retry), so every cell finishes the same work and
+// per-op time captures the full cost of recovery.
 package bench
 
 import (
-	"bytes"
+	"fmt"
 	"testing"
+
+	"soda/internal/bus"
+	"soda/internal/deltat"
+	"soda/internal/frame"
+	"soda/internal/sim"
 )
 
-// TestMeasureLossyWindowShape runs a miniature lossy sweep and checks the
-// structural invariants of the artifact: one row per (loss, window) cell,
-// window 1 labelled "stopwait" and deeper windows "selective", every 0%
-// row is its own slowdown baseline, and loss only ever costs time.
-func TestMeasureLossyWindowShape(t *testing.T) {
-	s := MeasureLossyWindow(3000, 8, []int{1, 4}, []int{0, 15})
-	if s.Bytes != 3000 || s.Ops != 8 {
-		t.Fatalf("sweep header wrong: %+v", s)
-	}
-	if len(s.Rows) != 4 {
-		t.Fatalf("%d rows, want 4", len(s.Rows))
-	}
-	for _, c := range []struct {
-		w    int
-		mode string
-	}{{1, "stopwait"}, {4, "selective"}} {
-		w, mode := c.w, c.mode
-		clean, lossy := s.Row(0, w), s.Row(15, w)
-		if clean == nil || lossy == nil {
-			t.Fatalf("missing window %d rows: %+v", w, s.Rows)
-		}
-		if clean.Mode != mode || lossy.Mode != mode {
-			t.Errorf("window %d rows labelled %q/%q, want %q", w, clean.Mode, lossy.Mode, mode)
-		}
-		if clean.SlowdownVsClean != 1 {
-			t.Errorf("%s 0%% row slowdown %.2f, want 1", mode, clean.SlowdownVsClean)
-		}
-		if lossy.PerOpUS < clean.PerOpUS || lossy.SlowdownVsClean < 1 {
-			t.Errorf("%s got faster under loss: %+v vs %+v", mode, lossy, clean)
-		}
-	}
-	if lossy := s.Row(15, 4); lossy.SackBlocksSent == 0 {
-		t.Error("windowed cell under loss sent no SACK blocks")
-	}
-	if lossy := s.Row(15, 1); lossy.FragRetransmits != 0 || lossy.SackBlocksSent != 0 {
-		t.Error("stop-and-wait cell counted windowed recovery work")
-	}
-	if s.Row(15, 8) != nil {
-		t.Fatal("Row found a cell that was never measured")
-	}
+// lossyRow is one (loss, window) cell: per-message virtual time, the
+// message-level retries the cell needed, and the bus counters of the run.
+type lossyRow struct {
+	perOpUS int64
+	// resubmits counts sends the transport failed (peer presumed dead)
+	// that the cell re-issued.
+	resubmits uint64
+	bus.Stats
 }
 
-// TestLossySweepRoundTrip: Write → ReadLossySweep is the identity on the
-// BENCH_lossywindow.json format.
-func TestLossySweepRoundTrip(t *testing.T) {
-	s := MeasureLossyWindow(2100, 5, []int{1, 2}, []int{0, 30})
-	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadLossySweep(&buf)
+// lossyCell runs one bulk transfer: ops messages of size bytes from MID 1
+// to MID 2 over a bus dropping each delivery with probability lossPct/100.
+// Failed sends are re-submitted until every message is acknowledged.
+func lossyCell(seed int64, bytes, ops, window, lossPct int) lossyRow {
+	k := sim.New(seed)
+	k.SetEventLimit(64_000_000)
+	busCfg := bus.DefaultConfig()
+	busCfg.LossProb = float64(lossPct) / 100
+	b := bus.New(k, busCfg)
+	cfg := deltat.DefaultConfig()
+	cfg.Window = window
+	hooks := deltat.Hooks{OnData: func(frame.MID, []byte) deltat.Decision {
+		return deltat.Decision{Verdict: deltat.VerdictAck}
+	}}
+	sender, err := deltat.New(k, b.Wire(), 1, cfg, hooks)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	if len(back.Rows) != len(s.Rows) || back.Description != s.Description || back.Seed != s.Seed {
-		t.Fatalf("round trip changed the sweep: %+v", back)
+	if _, err := deltat.New(k, b.Wire(), 2, cfg, hooks); err != nil {
+		panic(err)
 	}
-	for i := range s.Rows {
-		if back.Rows[i] != s.Rows[i] {
-			t.Fatalf("row %d changed: %+v vs %+v", i, back.Rows[i], s.Rows[i])
+
+	var resubmits uint64
+	var doneAt sim.Time
+	acked := 0
+	for i := 0; i < ops; i++ {
+		p := make([]byte, bytes)
+		for j := range p {
+			p[j] = byte(i + j)
+		}
+		// Self-re-submitting completion: the Delta-t verdict "peer dead"
+		// means a DeadAfter span of pure silence, which uniform 30% loss
+		// produces now and then; the bulk-transfer application's answer
+		// is to send again on the fresh connection.
+		var cb func(deltat.Result)
+		cb = func(r deltat.Result) {
+			if r.Kind == deltat.ResultAcked {
+				acked++
+				doneAt = k.Now()
+				return
+			}
+			resubmits++
+			sender.Send(2, p, nil, cb)
+		}
+		sender.Send(2, p, nil, cb)
+	}
+	if err := k.Run(); err != nil {
+		panic(fmt.Sprintf("lossywindow cell (loss=%d%% w=%d): %v", lossPct, window, err))
+	}
+	if acked != ops {
+		panic(fmt.Sprintf("lossywindow cell (loss=%d%% w=%d): acked %d/%d", lossPct, window, acked, ops))
+	}
+	return lossyRow{
+		perOpUS:   doneAt.Microseconds() / int64(ops),
+		resubmits: resubmits,
+		Stats:     b.Stats(),
+	}
+}
+
+// TestMeasureLossyWindowShape runs a miniature sweep: loss only ever
+// costs time, the windowed engine repairs loss with SACK blocks, and
+// stop-and-wait counts no windowed recovery work.
+func TestMeasureLossyWindowShape(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		clean, lossy := lossyCell(3, 3000, 8, w, 0), lossyCell(3, 3000, 8, w, 15)
+		if lossy.perOpUS < clean.perOpUS {
+			t.Errorf("window %d got faster under loss: %d vs %d us/op", w, lossy.perOpUS, clean.perOpUS)
+		}
+		if w > 1 && lossy.SackBlocksSent == 0 {
+			t.Errorf("window %d under loss sent no SACK blocks", w)
+		}
+		if w == 1 && lossy.FragmentRetransmits+lossy.SackBlocksSent != 0 {
+			t.Errorf("stop-and-wait cell counted windowed recovery work: %+v", lossy.Stats)
 		}
 	}
 }
 
-// TestLossySweepCheckViolations pins each gate in Check against doctored
-// artifacts, so the CI job actually fails when a claim breaks.
-func TestLossySweepCheckViolations(t *testing.T) {
-	mk := func() LossySweep {
-		return LossySweep{Rows: []LossyRow{
-			{LossPct: 0, Window: 1, Mode: "stopwait", PerOpUS: 180, SlowdownVsClean: 1},
-			{LossPct: 15, Window: 1, Mode: "stopwait", PerOpUS: 300, SlowdownVsClean: 1.7},
-			{LossPct: 30, Window: 1, Mode: "stopwait", PerOpUS: 550, SlowdownVsClean: 3.1},
-			{LossPct: 0, Window: 8, Mode: "selective", PerOpUS: 100, SlowdownVsClean: 1},
-			{LossPct: 15, Window: 8, Mode: "selective", PerOpUS: 150, SlowdownVsClean: 1.5},
-			{LossPct: 30, Window: 8, Mode: "selective", PerOpUS: 250, SlowdownVsClean: 2.5},
-		}}
-	}
-	if errs := mk().Check(); len(errs) != 0 {
-		t.Fatalf("healthy sweep failed its own gates: %v", errs)
-	}
-	cases := []struct {
-		name   string
-		doctor func(*LossySweep)
-	}{
-		{"windowed degraded past 2x at 15%", func(s *LossySweep) {
-			s.Row(15, 8).SlowdownVsClean = 2.6
-		}},
-		{"windowed lost to stop-and-wait under loss", func(s *LossySweep) {
-			s.Row(30, 8).PerOpUS = 600
-		}},
-		{"windowed only tied stop-and-wait on a clean wire", func(s *LossySweep) {
-			s.Row(0, 8).PerOpUS = 180
-		}},
-		{"missing stop-and-wait row", func(s *LossySweep) {
-			s.Rows = append(s.Rows[:2], s.Rows[3:]...)
-		}},
-	}
-	for _, tc := range cases {
-		s := mk()
-		tc.doctor(&s)
-		if errs := s.Check(); len(errs) == 0 {
-			t.Errorf("%s: Check reported no violation", tc.name)
-		}
-	}
-}
-
-// TestLossySweepDefaultGates is the acceptance pin: the standard sweep at
-// its committed scale must pass every Check gate — the windowed engine
-// within 2x of lossless at 15% loss, and ahead of stop-and-wait in every
-// cell.
+// TestLossySweepDefaultGates is the DESIGN.md §12 gate and the E7 table:
+// forty 5000-byte messages at seed 3 across loss {0,5,15,30}% × window
+// {1,4,8}, window 1 being stop-and-wait. Every per-op time is pinned
+// exactly; every windowed cell beats stop-and-wait at the same loss; and
+// at 15% loss the windowed engine stays within 2x of its lossless time.
 func TestLossySweepDefaultGates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full default sweep in -short mode")
+	lossPcts := []int{0, 5, 15, 30}
+	pins := map[int][]int64{ // µs per message, by window then loss
+		1: {73996, 92650, 126139, 226783},
+		4: {41210, 45861, 74658, 134323},
+		8: {41210, 46900, 62478, 99699},
 	}
-	s := MeasureLossyWindow(0, 0, nil, nil)
-	for _, err := range s.Check() {
-		t.Error(err)
+	t.Logf("%-5s %-6s %8s %8s %5s %7s %6s %5s %6s %6s", "loss", "window", "us/op",
+		"vs clean", "resub", "fragrtx", "selrtx", "sack", "windec", "wininc")
+	var stopWait []int64
+	for _, w := range []int{1, 4, 8} {
+		var clean int64
+		for i, loss := range lossPcts {
+			r := lossyCell(3, 5000, 40, w, loss)
+			if loss == 0 {
+				clean = r.perOpUS
+			}
+			slowdown := float64(r.perOpUS) / float64(clean)
+			t.Logf("%3d%%  %-6d %8d %7.2fx %5d %7d %6d %5d %6d %6d", loss, w, r.perOpUS, slowdown,
+				r.resubmits, r.FragmentRetransmits, r.SelectiveRetransmits, r.SackBlocksSent,
+				r.WindowDecreases, r.WindowIncreases)
+			if want := pins[w][i]; r.perOpUS != want {
+				t.Errorf("w=%d at %d%% loss: %d us/op, pinned %d", w, loss, r.perOpUS, want)
+			}
+			if w == 1 {
+				stopWait = append(stopWait, r.perOpUS)
+				continue
+			}
+			if r.perOpUS >= stopWait[i] {
+				t.Errorf("w=%d at %d%% loss: %d us/op does not beat stop-and-wait's %d",
+					w, loss, r.perOpUS, stopWait[i])
+			}
+			if loss == 15 && slowdown > 2.0 {
+				t.Errorf("w=%d at 15%% loss: %.2fx its lossless time, want <= 2x", w, slowdown)
+			}
+		}
 	}
 }

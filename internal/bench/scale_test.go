@@ -1,137 +1,289 @@
+// Scaling-curve measurement: the internetwork experiment of DESIGN.md §13
+// (EXPERIMENTS.md E8). For each node count the same discovery-heavy
+// workload runs twice — once on a single flat bus, once on a
+// gateway-segmented star — and the row records boot-to-first-service time,
+// DISCOVER convergence (servers found within one discover window), and the
+// REQUEST round trip to a far server. The flat network's per-MID reply
+// stagger (§5.3) overruns the discover window as MIDs grow, so the
+// per-segment DISCOVER proxy cache wins the convergence column at scale;
+// the gateway hops cost a bounded RTT factor in exchange.
 package bench
 
 import (
-	"bytes"
-	"reflect"
-	"strings"
+	"fmt"
+	"hash/fnv"
+	"io"
 	"testing"
+	"time"
+
+	"soda"
 )
+
+// scaleSegmentSize is the target number of nodes per bus segment in the
+// segmented half of each row (the curve picks max(2, ceil(n/size))
+// segments).
+const scaleSegmentSize = 256
+
+// scaleServers bounds the number of advertising servers per row.
+const scaleServers = 32
+
+// scaleCell is one network mode (flat or segmented) of one row. All times
+// are deterministic virtual microseconds; -1 marks a phase that did not
+// complete.
+type scaleCell struct {
+	// bootUS is boot-to-first-service: virtual time from network start
+	// until the driver's first DISCOVER returned a server.
+	bootUS int64
+	// discovered is how many of the row's servers one full discover
+	// window collected; discoverUS is that window's virtual duration.
+	// Together they are the convergence measure: the window length is
+	// fixed, so whoever hears more servers in it converges faster.
+	discovered int
+	discoverUS int64
+	// rttUS is the best-of-three blocking EXCHANGE round trip against the
+	// highest-MID discovered server (on the segmented network that is
+	// always a cross-segment path from the asker's segment).
+	rttUS int64
+	// framesSent totals bus transmissions over the whole run (every
+	// segment summed); the broadcast-suppression win shows up here.
+	framesSent uint64
+	// proxyReplies is the gateways' DISCOVER proxy answers; zero on the
+	// flat bus.
+	proxyReplies uint64
+}
+
+// scaleSegments picks the segmented half's segment count for n nodes.
+func scaleSegments(n int) int {
+	s := (n + scaleSegmentSize - 1) / scaleSegmentSize
+	if s < 2 {
+		s = 2
+	}
+	return s
+}
+
+// scaleServerMIDs spreads the advertising servers across the MID space
+// 1..n-1 (MID n is the asker), so on the segmented network most of them
+// are remote to the asker and on the flat network their reply stagger
+// spans the whole MID range.
+func scaleServerMIDs(n int) []soda.MID {
+	k := scaleServers
+	if n-1 < k {
+		k = n - 1
+	}
+	mids := make([]soda.MID, 0, k)
+	seen := soda.MID(0)
+	for i := 0; i < k; i++ {
+		mid := soda.MID(1 + i*(n-1)/k)
+		if mid <= seen { // collisions only when n-1 is near k
+			mid = seen + 1
+		}
+		seen = mid
+		mids = append(mids, mid)
+	}
+	return mids
+}
+
+// scaleRun tunes one workload execution beyond the node/segment shape:
+// an explicit gateway ForwardDelay (the conservative lookahead bound),
+// an intra-run parallel worker count, and an optional trace sink (the
+// byte-identity witness for the parallel cells).
+type scaleRun struct {
+	forward time.Duration
+	workers int
+	trace   io.Writer
+}
+
+// runScaleCell runs the workload once; segments <= 1 means the flat bus.
+func runScaleCell(n, segments int, r scaleRun) scaleCell {
+	opts := []soda.Option{soda.WithSeed(1)}
+	if segments > 1 {
+		topo := soda.StarTopology(segments)
+		segSize := (n + segments - 1) / segments
+		topo.Locate = func(mid soda.MID) int { return (int(mid) - 1) / segSize }
+		topo.ForwardDelay = r.forward
+		opts = append(opts, soda.WithTopology(topo))
+	}
+	if r.workers > 1 {
+		opts = append(opts, soda.WithParallelSim(r.workers))
+	}
+	nw := soda.NewNetwork(opts...)
+	if r.trace != nil {
+		nw.Trace(r.trace)
+	}
+
+	pattern := soda.WellKnownPattern(0o1513)
+	servers := scaleServerMIDs(n)
+	isServer := make([]bool, n+1)
+	for _, mid := range servers {
+		isServer[mid] = true
+	}
+	asker := soda.MID(n)
+
+	nw.Register("srv", soda.Program{
+		Init: func(c *soda.Client, _ soda.MID) {
+			if err := c.Advertise(pattern); err != nil {
+				panic(err)
+			}
+		},
+		Handler: func(c *soda.Client, ev soda.Event) {
+			if ev.Kind == soda.EventRequestArrival && ev.Pattern == pattern {
+				c.AcceptCurrentExchange(soda.OK, []byte("pong"), ev.PutSize)
+			}
+		},
+	})
+	// Bystanders idle through the measurement so every DISCOVER broadcast
+	// pays the full per-receiver delivery cost of an n-node bus.
+	nw.Register("idle", soda.Program{
+		Task: func(c *soda.Client) { c.Hold(time.Second) },
+	})
+
+	cell := scaleCell{bootUS: -1, discoverUS: -1, rttUS: -1}
+	nw.Register("driver", soda.Program{
+		Task: func(c *soda.Client) {
+			// Boot-to-first-service: one DISCOVER from network start.
+			if _, ok := c.Discover(pattern); !ok {
+				return
+			}
+			cell.bootUS = int64(c.Now() / time.Microsecond)
+			// Convergence: one full discover window, counted.
+			start := c.Now()
+			found := c.DiscoverAll(pattern, len(servers))
+			cell.discoverUS = int64((c.Now() - start) / time.Microsecond)
+			cell.discovered = len(found)
+			if len(found) == 0 {
+				return
+			}
+			// Far-server round trip: the highest-MID server heard. On the
+			// segmented star the asker is alone on the last segment, so
+			// this is always a cross-segment path.
+			target := found[0]
+			for _, mid := range found {
+				if mid > target {
+					target = mid
+				}
+			}
+			sig := soda.ServerSig{MID: target, Pattern: pattern}
+			best := time.Duration(-1)
+			for i := 0; i < 3; i++ {
+				s := c.Now()
+				if res := c.BExchange(sig, soda.OK, []byte("ping"), 16); res.Status != soda.StatusSuccess {
+					return
+				}
+				if d := c.Now() - s; best < 0 || d < best {
+					best = d
+				}
+			}
+			cell.rttUS = int64(best / time.Microsecond)
+		},
+	})
+
+	for mid := soda.MID(1); int(mid) <= n; mid++ {
+		nw.MustAddNode(mid)
+		switch {
+		case mid == asker:
+			nw.MustBoot(mid, "driver")
+		case isServer[mid]:
+			nw.MustBoot(mid, "srv")
+		default:
+			nw.MustBoot(mid, "idle")
+		}
+	}
+	if err := nw.Run(2 * time.Second); err != nil {
+		return scaleCell{bootUS: -1, discoverUS: -1, rttUS: -1}
+	}
+	cell.framesSent = nw.Stats().FramesSent
+	cell.proxyReplies = nw.InternetStats().ProxyReplies
+	return cell
+}
+
+// measureScaleRow runs the flat and the segmented half of one node count.
+func measureScaleRow(n int) (flat, seg scaleCell) {
+	return runScaleCell(n, 1, scaleRun{}), runScaleCell(n, scaleSegments(n), scaleRun{})
+}
+
+// scaleTraceHash runs the segmented workload under an explicit 500 µs
+// ForwardDelay lookahead (the default segmented cell forwards immediately,
+// which is not shardable) with the given intra-run worker count, and
+// returns the FNV-64a of its full frame trace.
+func scaleTraceHash(n, workers int) string {
+	h := fnv.New64a()
+	runScaleCell(n, scaleSegments(n), scaleRun{forward: 500 * time.Microsecond, workers: workers, trace: h})
+	return fmt.Sprintf("%016x", h.Sum64())
+}
 
 // TestMeasureScaleRowSmall runs the smallest row end to end: both halves
 // must complete every phase and discover every server, deterministically.
 func TestMeasureScaleRowSmall(t *testing.T) {
-	row := MeasureScaleRow(8)
-	if row.Segments != 2 || row.Servers != 7 {
-		t.Fatalf("row shape = %+v, want 2 segments and 7 servers", row)
+	if segs, srv := scaleSegments(8), len(scaleServerMIDs(8)); segs != 2 || srv != 7 {
+		t.Fatalf("row shape: %d segments and %d servers, want 2 and 7", segs, srv)
 	}
+	flat, seg := measureScaleRow(8)
 	for _, cell := range []struct {
 		name string
-		c    ScaleCell
-	}{{"flat", row.Flat}, {"segmented", row.Seg}} {
-		if cell.c.BootUS <= 0 || cell.c.RTTUS <= 0 || cell.c.DiscoverUS <= 0 {
+		c    scaleCell
+	}{{"flat", flat}, {"segmented", seg}} {
+		if cell.c.bootUS <= 0 || cell.c.rttUS <= 0 || cell.c.discoverUS <= 0 {
 			t.Errorf("%s: incomplete phases: %+v", cell.name, cell.c)
 		}
-		if cell.c.Discovered != 7 {
-			t.Errorf("%s: discovered %d/7 servers", cell.name, cell.c.Discovered)
+		if cell.c.discovered != 7 {
+			t.Errorf("%s: discovered %d/7 servers", cell.name, cell.c.discovered)
 		}
 	}
-	if row.Seg.ProxyReplies == 0 {
+	if seg.proxyReplies == 0 {
 		t.Error("segmented half never engaged the DISCOVER proxy")
 	}
-	again := MeasureScaleRow(8)
-	if again != row {
-		t.Fatalf("scale row not deterministic:\n%+v\n%+v", row, again)
+	if flat2, seg2 := measureScaleRow(8); flat2 != flat || seg2 != seg {
+		t.Fatalf("scale row not deterministic:\n%+v %+v\n%+v %+v", flat, seg, flat2, seg2)
 	}
 }
 
 // TestMeasureScaleParSmall runs the parallel-identity cell at the smallest
-// node count: the parallel half must reproduce the sequential trace hash
-// byte for byte (the CI gate), deterministically across re-measurement.
+// node count with two workers: the parallel half must reproduce the
+// sequential trace byte for byte, and that trace is E9's pinned hash.
 func TestMeasureScaleParSmall(t *testing.T) {
-	p := MeasureScalePar(8, 2)
-	if !p.Identical {
-		t.Fatalf("parallel run diverged from the sequential trace: %+v", p)
-	}
-	if p.Workers != 2 || p.TraceHash == "" || p.TraceHash == "0000000000000000" {
-		t.Fatalf("degenerate parallel cell: %+v", p)
-	}
-	again := MeasureScalePar(8, 2)
-	if again.TraceHash != p.TraceHash || !again.Identical {
-		t.Fatalf("parallel cell not deterministic:\n%+v\n%+v", p, again)
+	const pin = "c08a82581fc687dd"
+	if seq, par := scaleTraceHash(8, 1), scaleTraceHash(8, 2); seq != pin || par != pin {
+		t.Fatalf("trace hashes seq %s, par %s, pinned %s", seq, par, pin)
 	}
 }
 
-// TestScaleCurveRoundTrip measures a one-row curve with the parallel cell,
-// round-trips it through the artifact encoding, and checks both renderings:
-// the JSON must survive exactly and the human table must include the
-// parallel-identity section (and omit it on curves measured without it).
-func TestScaleCurveRoundTrip(t *testing.T) {
-	c := MeasureScaleCurvePar([]int{8}, 2)
-	if len(c.Rows) != 1 || c.Rows[0].Par == nil {
-		t.Fatalf("curve shape: %+v", c)
+// TestScaleCurveGates is the DESIGN.md §13 gate and the E8 table: at
+// n ∈ {8, 64, 512, 4096, 10000} every phase of both halves completes (the
+// 10k-node boot included), the DISCOVER proxy cache hears more servers
+// than the flat broadcast at n >= 512, and the cross-segment round trip
+// stays within 5x of the flat bus.
+func TestScaleCurveGates(t *testing.T) {
+	nodes := []int{8, 64, 512, 4096, 10000}
+	t.Logf("%5s %4s %3s | %-11s | %-11s | %-11s | %-9s", "nodes", "segs", "srv",
+		"boot us", "discovered", "rtt us", "frames")
+	for _, n := range nodes {
+		flat, seg := measureScaleRow(n)
+		t.Logf("%5d %4d %3d | %5d %5d | %5d %5d | %5d %5d | %4d %4d", n, scaleSegments(n),
+			len(scaleServerMIDs(n)), flat.bootUS, seg.bootUS, flat.discovered, seg.discovered,
+			flat.rttUS, seg.rttUS, flat.framesSent, seg.framesSent)
+		for _, c := range []scaleCell{flat, seg} {
+			if c.bootUS < 0 || c.discoverUS < 0 || c.rttUS <= 0 {
+				t.Errorf("n=%d: a phase did not complete: %+v", n, c)
+			}
+		}
+		if n >= 512 && seg.discovered <= flat.discovered {
+			t.Errorf("n=%d: DISCOVER cache found %d servers vs the flat broadcast's %d", n, seg.discovered, flat.discovered)
+		}
+		if ratio := float64(seg.rttUS) / float64(flat.rttUS); ratio > 5.0 {
+			t.Errorf("n=%d: cross-segment RTT %d us is %.2fx the flat bus's %d us, ceiling 5x", n, seg.rttUS, ratio, flat.rttUS)
+		}
 	}
-	if !c.Rows[0].Par.Identical {
-		t.Fatalf("parallel cell diverged: %+v", c.Rows[0].Par)
-	}
-	var buf bytes.Buffer
-	if err := c.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadScaleCurve(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, c) {
-		t.Fatalf("artifact round trip changed the curve:\n%+v\n%+v", back, c)
-	}
-	var tbl strings.Builder
-	PrintScaleCurve(&tbl, c)
-	if !strings.Contains(tbl.String(), "Parallel intra-run identity") ||
-		!strings.Contains(tbl.String(), c.Rows[0].Par.TraceHash) {
-		t.Fatalf("table missing the parallel section:\n%s", tbl.String())
-	}
-	plain := MeasureScaleCurve([]int{8})
-	if plain.Rows[0].Par != nil {
-		t.Fatal("curve measured without -parworkers grew a parallel cell")
-	}
-	var plainTbl strings.Builder
-	PrintScaleCurve(&plainTbl, plain)
-	if strings.Contains(plainTbl.String(), "Parallel intra-run identity") {
-		t.Fatal("plain table shows a parallel section with nothing to report")
-	}
-}
 
-// TestCheckScaleCurve pins each gate of the acceptance check on synthetic
-// curves.
-func TestCheckScaleCurve(t *testing.T) {
-	good := func() ScaleCurve {
-		return ScaleCurve{Rows: []ScaleRow{
-			{Nodes: 512, Servers: 32,
-				Flat: ScaleCell{BootUS: 41500, Discovered: 3, RTTUS: 7900},
-				Seg:  ScaleCell{BootUS: 41500, Discovered: 17, RTTUS: 8700}},
-			{Nodes: 10000, Servers: 32,
-				Flat: ScaleCell{BootUS: 41500, Discovered: 1, RTTUS: 7900},
-				Seg:  ScaleCell{BootUS: 41500, Discovered: 32, RTTUS: 9500}},
-		}}
-	}
-	if err := CheckScaleCurve(good()); err != nil {
-		t.Fatalf("healthy curve rejected: %v", err)
-	}
-	cases := []struct {
-		name   string
-		mutate func(*ScaleCurve)
-		want   string
-	}{
-		{"empty", func(c *ScaleCurve) { c.Rows = nil }, "no rows"},
-		{"boot dnf", func(c *ScaleCurve) { c.Rows[1].Seg.BootUS = -1 }, "boot"},
-		{"rtt dnf", func(c *ScaleCurve) { c.Rows[1].Seg.RTTUS = -1 }, "RTT"},
-		{"rtt ratio", func(c *ScaleCurve) { c.Rows[1].Seg.RTTUS = 7900 * 6 }, "ceiling"},
-		{"cache loses", func(c *ScaleCurve) { c.Rows[1].Seg.Discovered = 1 }, "cache"},
-		{"no 10k row", func(c *ScaleCurve) { c.Rows = c.Rows[:1] }, "10000"},
-		{"par diverged", func(c *ScaleCurve) {
-			c.Rows[1].Par = &ScalePar{Workers: 8, TraceHash: "deadbeef", Identical: false}
-		}, "diverged"},
-	}
-	for _, tc := range cases {
-		c := good()
-		tc.mutate(&c)
-		err := CheckScaleCurve(c)
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
+	// DESIGN.md §15: the segmented workload under WithParallelSim(8)
+	// produces the sequential trace byte for byte at every node count.
+	t.Run("parallel identity", func(t *testing.T) {
+		pins := []string{"c08a82581fc687dd", "f7da4f5fc6b19468", "edb81ab46371a52d", "f473d2a482ea1e5a", "8681cc1dc7e4757b"}
+		for i, n := range nodes {
+			seq, par := scaleTraceHash(n, 1), scaleTraceHash(n, 8)
+			t.Logf("%5d nodes: %s", n, seq)
+			if seq != pins[i] || par != pins[i] {
+				t.Errorf("n=%d: trace hashes seq %s, par %s, pinned %s", n, seq, par, pins[i])
+			}
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
+	})
 }

@@ -1,71 +1,43 @@
 package bench
 
 import (
-	"bytes"
 	"testing"
+	"time"
 )
 
-// TestMeasureWindowSweep runs a miniature sweep and checks the artifact's
-// structural invariants: the first row is the speedup baseline, every row
-// carries the measured counters, and deeper windows never lose to
-// stop-and-wait on a bulk pipelined stream.
+// TestMeasureWindowSweep is the DESIGN.md §11 gate and the EXPERIMENTS.md
+// E6 table: per-operation virtual time of a streaming pipelined 1000-word
+// PUT at each transport window depth. Window 1 is the paper-faithful
+// stop-and-wait transport and its time is pinned exactly (virtual time is
+// deterministic, so any drift is a real transport change); window 4 must
+// keep at least a 2x pipelining speedup over it.
 func TestMeasureWindowSweep(t *testing.T) {
-	s := MeasureWindowSweep(600, []int{1, 4}, 6)
-	if s.Words != 600 || s.Ops != 6 || !s.Pipelined || s.Op != OpPut.String() {
-		t.Fatalf("sweep header wrong: %+v", s)
-	}
-	if len(s.Rows) != 2 {
-		t.Fatalf("%d rows, want 2", len(s.Rows))
-	}
-	base := s.Row(1)
-	if base == nil || base.SpeedupVsW1 != 1 {
-		t.Fatalf("baseline row = %+v, want speedup 1", base)
-	}
-	w4 := s.Row(4)
-	if w4 == nil {
-		t.Fatal("window=4 row missing")
-	}
-	if w4.PerOpUS <= 0 || base.PerOpUS <= 0 {
-		t.Fatalf("non-positive per-op times: %d, %d", base.PerOpUS, w4.PerOpUS)
-	}
-	if w4.PerOpUS > base.PerOpUS {
-		t.Fatalf("window=4 slower than stop-and-wait: %d vs %d us/op", w4.PerOpUS, base.PerOpUS)
-	}
-	if w4.SpeedupVsW1 <= 1 {
-		t.Fatalf("window=4 speedup %.2f, want > 1", w4.SpeedupVsW1)
-	}
-	if base.CumulativeAcks != 0 {
-		t.Fatalf("stop-and-wait run counted %d cumulative acks", base.CumulativeAcks)
-	}
-	if w4.CumulativeAcks == 0 {
-		t.Fatal("windowed run counted no cumulative acks")
-	}
-	if s.Row(8) != nil {
-		t.Fatal("Row(8) found a row that was never measured")
-	}
-}
-
-// TestWindowSweepRoundTrip: Write → ReadWindowSweep is the identity on the
-// BENCH_window.json format.
-func TestWindowSweepRoundTrip(t *testing.T) {
-	s := MeasureWindowSweep(0, nil, 3) // defaults: DefaultWindowWords × DefaultWindows
-	if s.Words != DefaultWindowWords || len(s.Rows) != len(DefaultWindows) {
-		t.Fatalf("defaults not applied: words=%d rows=%d", s.Words, len(s.Rows))
-	}
-	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadWindowSweep(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Rows) != len(s.Rows) || back.Description != s.Description {
-		t.Fatalf("round trip changed the sweep: %+v", back)
-	}
-	for i := range s.Rows {
-		if back.Rows[i] != s.Rows[i] {
-			t.Fatalf("row %d changed: %+v vs %+v", i, back.Rows[i], s.Rows[i])
+	const words, ops = 1000, 30
+	const w1Pin = 34148 // µs/op
+	t.Logf("%d-word pipelined %v, %d ops per window", words, OpPut, ops)
+	t.Logf("%-6s %8s %9s %8s %6s %7s %7s", "window", "us/op", "frames/op", "speedup", "fills", "cumacks", "retrans")
+	var w1, w4 time.Duration
+	for _, w := range []int{1, 2, 4, 8} {
+		r := MeasureOp(Config{Op: OpPut, Words: words, Pipelined: true, Window: w, Ops: ops})
+		switch w {
+		case 1:
+			w1 = r.PerOp
+			if r.CumulativeAcks != 0 {
+				t.Errorf("stop-and-wait run counted %d cumulative acks", r.CumulativeAcks)
+			}
+		case 4:
+			w4 = r.PerOp
 		}
+		if w > 1 && r.CumulativeAcks == 0 {
+			t.Errorf("window=%d run counted no cumulative acks", w)
+		}
+		t.Logf("%-6d %8d %9.2f %7.2fx %6d %7d %7d", w, r.PerOp/time.Microsecond, r.FramesPerOp,
+			float64(w1)/float64(r.PerOp), r.WindowFills, r.CumulativeAcks, r.FragRetransmits)
+	}
+	if got := int64(w1 / time.Microsecond); got != w1Pin {
+		t.Errorf("window=1: %d us/op, pinned %d", got, w1Pin)
+	}
+	if speedup := float64(w1) / float64(w4); speedup < 2.0 {
+		t.Errorf("window=4 speedup %.2fx < 2.0x (%v vs %v per op)", speedup, w4, w1)
 	}
 }
