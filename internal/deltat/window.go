@@ -1,17 +1,17 @@
-// Sliding-window engine for the Delta-t endpoint (Config.Window > 1).
+// Windowed framing for the Delta-t endpoint (Config.Window > 1).
 //
-// The stop-and-wait transport in deltat.go admits one outstanding DATA frame
+// The stop-and-wait framing in deltat.go admits one outstanding DATA frame
 // per direction, which caps bulk throughput at one frame per round trip. The
-// windowed mode keeps every Delta-t property — timer-based connection
+// windowed framing keeps every Delta-t property — timer-based connection
 // records, duplicate suppression, death detection by silence, the busy/urgent
 // no-deadlock rule — but pipelines traffic two ways:
 //
 //   - up to Config.Window reliable MESSAGES may be unacknowledged toward one
 //     destination at once (the window is counted in messages, matching the
 //     paper's per-request accounting);
-//   - each message is cut into FRAG frames of at most FragSize payload
-//     bytes, numbered in a per-link frame-sequence stream that the receiver
-//     acknowledges cumulatively.
+//   - each message is cut into FRAG frames of at most DefaultFragSize
+//     payload bytes, numbered in a per-link frame-sequence stream that the
+//     receiver acknowledges cumulatively.
 //
 // Frame sequence numbers and message sequence numbers are uint8 serial
 // numbers; correctness requires the outstanding span to stay below half the
@@ -34,9 +34,13 @@
 // path — so a lost completion ack is recovered by the §5.2.3 cached-reply
 // replay when a duplicate of the message's final fragment arrives.
 //
-// Window=1 configurations never reach this file: every entry point is gated
-// on Endpoint.windowed(), keeping the default path bit-identical to the
-// pre-window transport.
+// Everything else lives in the per-peer record both framings share
+// (deltat.go): the record's lifetime and receive expiry, the death clock,
+// the peer-dead teardown and reconnect quiet period, the message queue, the
+// hold slot, and acknowledgement and replay. This file holds only the send
+// half (ws) and receive half (wr) that FRAG framing adds. A Window <= 1
+// endpoint never creates either, so the stop-and-wait wire stays
+// bit-identical to the pre-window transport.
 package deltat
 
 import (
@@ -47,9 +51,9 @@ import (
 	"soda/internal/sortediter"
 )
 
-// DefaultFragSize is the FRAG payload cap when Config.FragSize is unset.
-// 1024 keeps a full-size fragment close to the thesis's maximum Megalink
-// frame while cutting a 1000-word message into just two frames.
+// DefaultFragSize is the FRAG payload cap. 1024 keeps a full-size fragment
+// close to the thesis's maximum Megalink frame while cutting a 1000-word
+// message into just two frames.
 const DefaultFragSize = 1024
 
 // MaxWindowMessages clamps Config.Window so message sequence numbers stay
@@ -63,7 +67,7 @@ const (
 	// keeping frame sequence numbers within half the serial space.
 	maxInflightFrags = 64
 	// maxFragsPerMsg bounds fragments per message (FragIndex is uint8);
-	// larger messages get a proportionally larger effective FragSize.
+	// larger messages get a proportionally larger fragment size.
 	maxFragsPerMsg = 256
 	// replyCacheCap bounds the per-peer cache of message replies kept for
 	// duplicate replay: twice the window, so a reply outlives every
@@ -92,25 +96,10 @@ func seqLE(a, b uint8) bool { return b-a < 128 }
 // seqLT is strict serial-number order.
 func seqLT(a, b uint8) bool { return a != b && seqLE(a, b) }
 
-// wmsg is one reliable message in the windowed outbox.
-type wmsg struct {
-	msgSeq  uint8
-	payload []byte
-	cb      func(Result)
-	urgent  bool
-	fragSz  int
-	frags   int
-	next    int   // next fragment index of the current transmission pass
-	lastSeq uint8 // frame seq of the final fragment, for probe duplicates
-	parked  bool  // busy-parked awaiting the slow retry
-	parkGen int
-	done    bool // completed; stale scheduled work checks it
-}
-
 // wfrag is one unacknowledged FRAG transmission.
 type wfrag struct {
 	seq uint8
-	msg *wmsg
+	msg *msg
 	idx int
 	// sacked marks a fragment the receiver reported holding out of order.
 	// A sacked fragment is skipped by hole retransmission but is NOT
@@ -125,10 +114,9 @@ type wfrag struct {
 	wireAt sim.Time
 }
 
-// wsend is the per-destination windowed send state.
+// wsend is the windowed send half of a peer record.
 type wsend struct {
-	queue    []*wmsg // admitted when the window opens
-	inflight []*wmsg // unacknowledged messages, message-sequence order
+	inflight []*msg  // unacknowledged messages, message-sequence order
 	frames   []wfrag // unacknowledged fragments, frame-sequence order
 	nextMsg  uint8
 	nextSeq  uint8
@@ -146,20 +134,11 @@ type wsend struct {
 	// acknowledgements queue behind the whole burst, collapsing the
 	// pipeline into a batch round trip.
 	lineFreeAt sim.Time
-	deadline   sim.Time
-	interval   time.Duration
-	attempts   int
-	timerGen   int
-	armed      bool
+	armed      bool // the recovery timer is running
 	// probeWireAt is when the last §5.2.3 completion probe finishes
 	// leaving the wire; a new probe is pointless (and pure egress spam)
 	// while the previous one is still queued behind the stream.
 	probeWireAt sim.Time
-	// quietUntil is the reconnect quiet deadline inherited from wquiet:
-	// no frame may leave before it (readyAt/lineFreeAt are seeded to it)
-	// and the recovery timer must not burn attempts retransmitting into
-	// the enforced silence.
-	quietUntil sim.Time
 
 	// AIMD congestion state (see the package doc).
 	// cwnd is the adaptive message window, always in [1, Endpoint.window()];
@@ -181,8 +160,8 @@ type wsend struct {
 // admission or a busy retry). Never interleaving fragments of two messages
 // keeps each message's fragments contiguous in the frame-sequence stream,
 // which the receiver's single reassembly buffer relies on.
-func (ws *wsend) sendable() *wmsg {
-	var restart *wmsg
+func (ws *wsend) sendable() *msg {
+	var restart *msg
 	for _, m := range ws.inflight {
 		if m.parked || m.next >= m.frags {
 			continue
@@ -212,7 +191,7 @@ func (ws *wsend) outstanding() bool {
 }
 
 // take removes and returns the inflight message with msgSeq, or nil.
-func (ws *wsend) take(msgSeq uint8) *wmsg {
+func (ws *wsend) take(msgSeq uint8) *msg {
 	for i, m := range ws.inflight {
 		if m.msgSeq == msgSeq {
 			ws.inflight = append(ws.inflight[:i], ws.inflight[i+1:]...)
@@ -243,12 +222,11 @@ type oooFrag struct {
 	payload []byte
 }
 
-// wrecv is the per-peer windowed receive state.
+// wrecv is the windowed receive half of a peer record.
 type wrecv struct {
-	valid     bool
-	cum       uint8 // highest in-order frame sequence received
-	next      uint8 // next message sequence to deliver
-	lastHeard sim.Time
+	valid bool
+	cum   uint8 // highest in-order frame sequence received
+	next  uint8 // next message sequence to deliver
 
 	// Reassembly of the (single) message currently arriving in the
 	// contiguous frame stream.
@@ -285,103 +263,54 @@ func (e *Endpoint) window() int {
 	return w
 }
 
-// wFragSize is the effective fragment payload cap for a message of n bytes.
-func (e *Endpoint) wFragSize(n int) int {
-	fs := e.cfg.FragSize
-	if fs <= 0 {
-		fs = DefaultFragSize
+// fragSize is the fragment payload cap for a message of n bytes.
+func fragSize(n int) int {
+	if n > DefaultFragSize*maxFragsPerMsg {
+		return (n + maxFragsPerMsg - 1) / maxFragsPerMsg
 	}
-	if n > fs*maxFragsPerMsg {
-		fs = (n + maxFragsPerMsg - 1) / maxFragsPerMsg
-	}
-	return fs
+	return DefaultFragSize
 }
 
-func (e *Endpoint) wsendFor(dst frame.MID) *wsend {
-	ws := e.wout[dst]
-	if ws == nil {
+// wEnqueue queues m toward dst, opening the record and its send half on
+// first use.
+func (e *Endpoint) wEnqueue(dst frame.MID, p *peer, m *msg) {
+	if p.ws == nil {
 		// cwnd opens at the operator ceiling: on the known-capacity LAN the
 		// AIMD search runs downward from loss evidence, so a clean link
 		// runs at the full window from the first message.
-		ws = &wsend{cwnd: e.window()}
-		if q, ok := e.wquiet[dst]; ok {
+		p.ws = &wsend{cwnd: e.window()}
+		if q := p.quietUntil; q > e.k.Now() {
 			// Reconnect after a peer-dead verdict: hold the first frame
 			// until the peer's receive record has provably lapsed. Seeding
 			// the CPU/line serializers is enough — every transmission is
 			// scheduled behind them.
-			delete(e.wquiet, dst)
-			if q > e.k.Now() {
-				ws.readyAt, ws.lineFreeAt, ws.quietUntil = q, q, q
-			}
+			p.ws.readyAt, p.ws.lineFreeAt = q, q
 		}
-		if e.wout == nil {
-			e.wout = make(map[frame.MID]*wsend)
-		}
-		e.wout[dst] = ws
-		if e.win[dst] == nil {
-			e.emit(EvConnOpen, dst, 0, 0)
-		}
+		e.open(dst, p)
 	}
-	return ws
+	p.enqueue(m)
+	e.wPump(dst, p)
 }
 
-// wrecvFor returns the receive record for src, applying the lazy Delta-t
-// expiry: after ConnLifetime of silence with nothing pending, the record
-// lapses and any sequence number is accepted again ("take any SN", §5.2.2).
-func (e *Endpoint) wrecvFor(src frame.MID) *wrecv {
-	wr := e.win[src]
-	now := e.k.Now()
-	if wr == nil {
-		wr = &wrecv{lastHeard: now}
-		if e.win == nil {
-			e.win = make(map[frame.MID]*wrecv)
-		}
-		e.win[src] = wr
-		if e.wout[src] == nil {
-			e.emit(EvConnOpen, src, 0, 0)
-		}
-		return wr
+// wrecvFor returns src's record with its receive half, applying the lazy
+// Delta-t expiry (see conn).
+func (e *Endpoint) wrecvFor(src frame.MID) *peer {
+	p := e.conn(src)
+	if p.wr == nil {
+		p.wr = &wrecv{}
 	}
-	_, holding := e.holds[src]
-	if wr.valid && !holding && !wr.delivering && len(wr.buffered) == 0 &&
-		now-wr.lastHeard > e.cfg.ConnLifetime() {
-		e.emit(EvConnExpire, src, wr.cum, 0)
-		*wr = wrecv{lastHeard: wr.lastHeard}
-	}
-	return wr
-}
-
-// wEnqueue queues payload as one reliable windowed message toward dst.
-// Urgent messages (kernel replies) jump ahead of queued ordinary traffic,
-// mirroring the stop-and-wait urgency rule.
-func (e *Endpoint) wEnqueue(dst frame.MID, payload []byte, cb func(Result), urgent bool) {
-	if e.crashed {
-		return
-	}
-	ws := e.wsendFor(dst)
-	m := &wmsg{payload: payload, cb: cb, urgent: urgent}
-	if urgent {
-		pos := 0
-		for pos < len(ws.queue) && ws.queue[pos].urgent {
-			pos++
-		}
-		ws.queue = append(ws.queue, nil)
-		copy(ws.queue[pos+1:], ws.queue[pos:])
-		ws.queue[pos] = m
-	} else {
-		ws.queue = append(ws.queue, m)
-	}
-	e.wPump(dst, ws)
+	return p
 }
 
 // wPump admits queued messages while the window is open and transmits
 // fragments while the fragment budget allows, then makes sure the recovery
 // timer covers whatever is outstanding.
-func (e *Endpoint) wPump(dst frame.MID, ws *wsend) {
+func (e *Endpoint) wPump(dst frame.MID, p *peer) {
+	ws := p.ws
 	for {
 		m := ws.sendable()
 		if m == nil {
-			if len(ws.queue) == 0 {
+			if len(p.queue) == 0 {
 				break
 			}
 			if len(ws.inflight) >= ws.cwnd {
@@ -392,12 +321,12 @@ func (e *Endpoint) wPump(dst frame.MID, ws *wsend) {
 				}
 				break
 			}
-			m = ws.queue[0]
-			ws.queue = ws.queue[1:]
+			m = p.queue[0]
+			p.queue = p.queue[1:]
 			ws.stalled = false
 			m.msgSeq = ws.nextMsg
 			ws.nextMsg++
-			m.fragSz = e.wFragSize(len(m.payload))
+			m.fragSz = fragSize(len(m.payload))
 			m.frags = (len(m.payload) + m.fragSz - 1) / m.fragSz
 			if m.frags == 0 {
 				m.frags = 1 // empty payload still takes one fragment
@@ -406,13 +335,7 @@ func (e *Endpoint) wPump(dst frame.MID, ws *wsend) {
 				// The no-response clock starts when the first frame can
 				// actually leave: a reconnect quiet period (ws.readyAt in
 				// the future) must not count against the peer.
-				base := e.k.Now()
-				if ws.readyAt > base {
-					base = ws.readyAt
-				}
-				ws.deadline = base + e.cfg.DeadAfter()
-				ws.interval = e.cfg.RetransInterval
-				ws.attempts = 0
+				e.startClock(p, max(e.k.Now(), ws.readyAt))
 			}
 			ws.inflight = append(ws.inflight, m)
 			continue
@@ -428,9 +351,9 @@ func (e *Endpoint) wPump(dst frame.MID, ws *wsend) {
 			m.lastSeq = seq
 		}
 		ws.frames = append(ws.frames, wfrag{seq: seq, msg: m, idx: idx})
-		ws.frames[len(ws.frames)-1].wireAt = e.wTransmitFrag(dst, ws, m, idx, seq)
+		ws.frames[len(ws.frames)-1].wireAt = e.wTransmitFrag(dst, p, m, idx, seq)
 	}
-	e.wArm(dst, ws)
+	e.wArm(dst, p)
 }
 
 // wTransmitFrag charges the send cost and schedules fragment idx of m onto
@@ -438,7 +361,8 @@ func (e *Endpoint) wPump(dst frame.MID, ws *wsend) {
 // transmission is skipped if the message completes or parks before the
 // processing delay elapses. Returns when this copy finishes leaving the
 // wire, for the caller to record as the fragment's wireAt.
-func (e *Endpoint) wTransmitFrag(dst frame.MID, ws *wsend, m *wmsg, idx int, seq uint8) sim.Time {
+func (e *Endpoint) wTransmitFrag(dst frame.MID, p *peer, m *msg, idx int, seq uint8) sim.Time {
+	ws := p.ws
 	start := idx * m.fragSz
 	end := start + m.fragSz
 	if end > len(m.payload) {
@@ -478,17 +402,7 @@ func (e *Endpoint) wTransmitFrag(dst frame.MID, ws *wsend, m *wmsg, idx int, seq
 			Urgent:    m.urgent,
 			Payload:   chunk,
 		}
-		if wr := e.win[dst]; wr != nil && wr.valid {
-			// The fragment carries the reverse direction's cumulative
-			// acknowledgement, superseding any standalone FRAGACK pending
-			// (§5.2.3's piggyback preference).
-			f.AckPresent = true
-			f.AckSeq = wr.cum
-			wr.ackGen++
-			wr.ackPending = false
-			e.iface.CountCumulativeAck()
-			e.emit(EvCumAck, dst, wr.cum, 0)
-		}
+		e.attachCumAck(f, p)
 		e.transmit(f)
 	})
 	return ws.lineFreeAt
@@ -498,13 +412,14 @@ func (e *Endpoint) wTransmitFrag(dst frame.MID, ws *wsend, m *wmsg, idx int, seq
 // running and something is outstanding. The wait scales with the bytes in
 // flight so a burst is not retried while still on the wire, capped well
 // inside the death-detection window.
-func (e *Endpoint) wArm(dst frame.MID, ws *wsend) {
+func (e *Endpoint) wArm(dst frame.MID, p *peer) {
+	ws := p.ws
 	if ws.armed || !ws.outstanding() {
 		return
 	}
 	ws.armed = true
-	ws.timerGen++
-	gen := ws.timerGen
+	p.timerGen++
+	gen := p.timerGen
 	bytes := 0
 	for _, fr := range ws.frames {
 		n := len(fr.msg.payload) - fr.idx*fr.msg.fragSz
@@ -519,41 +434,36 @@ func (e *Endpoint) wArm(dst frame.MID, ws *wsend) {
 	if max := e.cfg.DeadAfter() / 2; guard > max {
 		guard = max
 	}
-	wait := ws.interval + guard
+	wait := p.interval + guard
 	if len(ws.frames) > 0 {
 		if drain := ws.frames[0].wireAt; drain > e.k.Now() {
 			// The oldest outstanding fragment is still in our egress
 			// queue; firing earlier would find nothing actionable (see
 			// wRetransmit's in-egress check). Wait for the line plus one
 			// retry interval for the answer to start back.
-			if w := time.Duration(drain-e.k.Now()) + ws.interval; w > wait {
+			if w := time.Duration(drain-e.k.Now()) + p.interval; w > wait {
 				wait = w
 			}
 		}
 	}
-	if at := ws.quietUntil; at > e.k.Now() {
+	if e.quiet(p) {
 		// Frames held by the reconnect quiet period have not reached the
 		// wire; retrying before they could possibly be answered only
 		// duplicates the backlog into the enforced silence.
-		wait += time.Duration(at - e.k.Now())
+		wait += p.quietUntil - e.k.Now()
 	}
-	if e.cfg.RetransJitter > 0 {
-		wait += time.Duration(e.k.Rand().Int63n(int64(e.cfg.RetransJitter) + 1))
-	}
+	wait += e.jitter()
 	epoch := e.epoch
 	e.k.After(wait, func() {
-		if epoch != e.epoch || e.wout[dst] != ws || ws.timerGen != gen {
+		if epoch != e.epoch || p.ws != ws || p.timerGen != gen {
 			return
 		}
 		ws.armed = false
 		if !ws.outstanding() {
 			return
 		}
-		if e.k.Now() >= ws.deadline {
-			busy := ws.readyAt
-			if ws.lineFreeAt > busy {
-				busy = ws.lineFreeAt
-			}
+		if e.k.Now() >= p.deadline {
+			busy := max(ws.readyAt, ws.lineFreeAt)
 			if busy > e.k.Now() {
 				// The silence is our own doing: a deep window's recovery
 				// round serializes through the CPU and the single
@@ -566,25 +476,25 @@ func (e *Endpoint) wArm(dst frame.MID, ws *wsend) {
 				// adds at most wireTime(outstanding) to the backlog while
 				// the timer waits interval + 3*wireTime(outstanding), so
 				// a truly dead peer's backlog drains and the clock fires.
-				ws.deadline = busy + e.cfg.DeadAfter()
-				e.wArm(dst, ws)
+				p.deadline = busy + e.cfg.DeadAfter()
+				e.wArm(dst, p)
 				return
 			}
-			e.wPeerDead(dst, ws)
+			e.peerDead(dst, p)
 			return
 		}
-		e.wRetransmit(dst, ws)
+		e.wRetransmit(dst, p)
 	})
 }
 
 // wCancelTimer stops the recovery timer and resets the backoff, called on
 // acknowledgement progress (the caller re-arms it for the new oldest
 // outstanding frame).
-func (e *Endpoint) wCancelTimer(ws *wsend) {
-	ws.timerGen++
-	ws.armed = false
-	ws.interval = e.cfg.RetransInterval
-	ws.attempts = 0
+func (e *Endpoint) wCancelTimer(p *peer) {
+	p.timerGen++
+	p.ws.armed = false
+	p.interval = e.cfg.RetransInterval
+	p.attempts = 0
 }
 
 // wRetransmit is one recovery round: it halves the AIMD window (the timer
@@ -593,7 +503,8 @@ func (e *Endpoint) wCancelTimer(ws *wsend) {
 // but a message completion is missing, it probes with the oldest incomplete
 // message's final fragment — the duplicate triggers the receiver's
 // cached-reply replay (§5.2.3).
-func (e *Endpoint) wRetransmit(dst frame.MID, ws *wsend) {
+func (e *Endpoint) wRetransmit(dst frame.MID, p *peer) {
+	ws := p.ws
 	if len(ws.frames) > 0 && ws.frames[0].wireAt > e.k.Now() {
 		// The oldest outstanding fragment's latest copy is still in our
 		// egress queue (a deep window serializes for longer than the
@@ -601,23 +512,15 @@ func (e *Endpoint) wRetransmit(dst frame.MID, ws *wsend) {
 		// recovery round would only stack duplicates behind it — wait
 		// for the line instead. Not counted as an attempt: no evidence,
 		// no backoff, no AIMD decrease.
-		e.wArm(dst, ws)
+		e.wArm(dst, p)
 		return
 	}
 	e.totals.RetransTimer += e.cfg.Costs.RetransTimer
-	ws.attempts++
-	if e.cfg.RetransBackoff > 1 {
-		// Retry rate decreases with attempts (§5.2.2), capped so a
-		// live-but-lossy peer still sees several attempts per
-		// death-detection window.
-		ws.interval = time.Duration(float64(ws.interval) * e.cfg.RetransBackoff)
-		if max := e.cfg.DeadAfter() / 6; ws.interval > max {
-			ws.interval = max
-		}
-	}
+	p.attempts++
+	e.backoff(p)
 	e.wShrinkWindow(dst, ws)
 	if len(ws.frames) > 0 {
-		if ws.attempts >= 2 {
+		if p.attempts >= 2 {
 			// Anti-renege: two timer fires with no cumulative progress
 			// means the SACK picture may be stale (or the receiver
 			// evicted); distrust it and re-send everything unacked.
@@ -630,18 +533,18 @@ func (e *Endpoint) wRetransmit(dst frame.MID, ws *wsend) {
 			if ws.frames[i].sacked || ws.frames[i].wireAt > e.k.Now() {
 				continue
 			}
-			e.wResendFrag(dst, ws, i, ws.attempts+1)
+			e.wResendFrag(dst, p, i, p.attempts+1)
 			sent = true
 		}
 		if !sent {
 			// Everything outstanding is sacked yet cum never advanced:
 			// the receiver's acks are being lost. Re-send the oldest
 			// fragment; its duplicate provokes a fresh (high) cum ack.
-			e.wResendFrag(dst, ws, 0, ws.attempts+1)
+			e.wResendFrag(dst, p, 0, p.attempts+1)
 		}
 	}
-	e.wProbeStarved(dst, ws)
-	e.wArm(dst, ws)
+	e.wProbeStarved(dst, p)
+	e.wArm(dst, p)
 }
 
 // wProbeStarved re-sends the final fragment of the oldest unparked message
@@ -653,11 +556,12 @@ func (e *Endpoint) wRetransmit(dst frame.MID, ws *wsend) {
 // was lost would otherwise never be probed — it starves behind the stream
 // until the sender declares a live, acking peer dead. One probe per
 // recovery round drains multiple stuck messages one at a time.
-func (e *Endpoint) wProbeStarved(dst frame.MID, ws *wsend) {
+func (e *Endpoint) wProbeStarved(dst frame.MID, p *peer) {
+	ws := p.ws
 	if ws.probeWireAt > e.k.Now() {
 		return // the previous probe has not even left the wire yet
 	}
-	framed := make(map[*wmsg]bool, len(ws.frames))
+	framed := make(map[*msg]bool, len(ws.frames))
 	for _, fr := range ws.frames {
 		framed[fr.msg] = true
 	}
@@ -666,8 +570,8 @@ func (e *Endpoint) wProbeStarved(dst frame.MID, ws *wsend) {
 			continue
 		}
 		e.iface.CountFragmentRetransmit()
-		e.emit(EvFragRetransmit, dst, m.lastSeq, ws.attempts+1)
-		ws.probeWireAt = e.wTransmitFrag(dst, ws, m, m.frags-1, m.lastSeq)
+		e.emit(EvFragRetransmit, dst, m.lastSeq, p.attempts+1)
+		ws.probeWireAt = e.wTransmitFrag(dst, p, m, m.frags-1, m.lastSeq)
 		return
 	}
 }
@@ -675,12 +579,12 @@ func (e *Endpoint) wProbeStarved(dst frame.MID, ws *wsend) {
 // wResendFrag re-sends the hole at ws.frames[i], counted both as a fragment
 // retransmission (the recovery metric it shares with completion probes) and
 // as a selective retransmission (hole re-sends only).
-func (e *Endpoint) wResendFrag(dst frame.MID, ws *wsend, i int, round int) {
-	fr := ws.frames[i]
+func (e *Endpoint) wResendFrag(dst frame.MID, p *peer, i int, round int) {
+	fr := p.ws.frames[i]
 	e.iface.CountFragmentRetransmit()
 	e.iface.CountSelectiveRetransmit()
 	e.emit(EvSelectiveRetransmit, dst, fr.seq, round)
-	ws.frames[i].wireAt = e.wTransmitFrag(dst, ws, fr.msg, fr.idx, fr.seq)
+	p.ws.frames[i].wireAt = e.wTransmitFrag(dst, p, fr.msg, fr.idx, fr.seq)
 }
 
 // wShrinkWindow applies the AIMD multiplicative decrease (floor 1) and
@@ -695,39 +599,8 @@ func (e *Endpoint) wShrinkWindow(dst frame.MID, ws *wsend) {
 	e.emit(EvWindowDecrease, dst, 0, ws.cwnd)
 }
 
-// wPeerDead fails every inflight and queued message and discards both sides
-// of the connection state, mirroring the stop-and-wait peerDead.
-func (e *Endpoint) wPeerDead(dst frame.MID, ws *wsend) {
-	failed := append(append([]*wmsg(nil), ws.inflight...), ws.queue...)
-	ws.inflight = nil
-	ws.queue = nil
-	ws.frames = nil
-	ws.timerGen++
-	e.iface.CountPeerDeadTimeout()
-	e.emit(EvPeerDead, dst, 0, ws.attempts)
-	e.emit(EvConnClose, dst, 0, 0)
-	delete(e.wout, dst)
-	delete(e.win, dst)
-	// Quiet period before any reconnect: the peer may be alive (loss, not
-	// death) with a receive record that only ConnLifetime of silence can
-	// clear; restarting the sequence space into that record would desync
-	// forever. The RetransInterval pad keeps the expiry comparison strict
-	// even against frames still on the wire.
-	if e.wquiet == nil {
-		e.wquiet = make(map[frame.MID]sim.Time)
-	}
-	e.wquiet[dst] = e.k.Now() + e.cfg.ConnLifetime() + e.cfg.RetransInterval
-	for _, m := range failed {
-		m.done = true
-		m.parkGen++
-		if m.cb != nil {
-			m.cb(Result{Kind: ResultPeerDead})
-		}
-	}
-}
-
 // wDropFrames removes m's fragments from the unacknowledged-frame list.
-func (e *Endpoint) wDropFrames(ws *wsend, m *wmsg) {
+func (e *Endpoint) wDropFrames(ws *wsend, m *msg) {
 	kept := ws.frames[:0]
 	for _, fr := range ws.frames {
 		if fr.msg != m {
@@ -748,17 +621,16 @@ func (e *Endpoint) wDropFrames(ws *wsend, m *wmsg) {
 // where a duplicate of an unanswerable frame earns silence and the sender's
 // death clock runs out.
 func (e *Endpoint) wProcess(f *frame.TransportFrame) {
-	if ws := e.wout[f.Src]; ws != nil && len(ws.frames) > 0 && !e.wQuiet(ws) {
+	p := e.peer(f.Src)
+	if ws := p.ws; ws != nil && len(ws.frames) > 0 && !e.quiet(p) {
 		// Monotone refresh only: a reconnect sets the deadline past the
 		// quiet period, and a straggler frame must never pull it back
 		// below the first moment the new connection can transmit.
-		if d := e.k.Now() + e.cfg.DeadAfter(); d > ws.deadline {
-			ws.deadline = d
-		}
+		p.deadline = max(p.deadline, e.k.Now()+e.cfg.DeadAfter())
 	}
 	switch f.Kind {
 	case frame.TransportFrag:
-		e.wHandleFrag(f.Src, f)
+		e.wHandleFrag(f.Src, p, f)
 	case frame.TransportFragAck, frame.TransportAck, frame.TransportNack:
 		// Acknowledgement traffic arriving inside the reconnect quiet
 		// period is addressed to the DEAD connection: nothing of the new
@@ -766,28 +638,20 @@ func (e *Endpoint) wProcess(f *frame.TransportFrame) {
 		// frames could legitimately acknowledge. Applying them would
 		// alias the old generation's cumulative point onto the new
 		// space — silently releasing fragments that were never sent.
-		if e.wQuiet(e.wout[f.Src]) {
+		if p.ws == nil || e.quiet(p) {
 			return
 		}
 		switch f.Kind {
 		case frame.TransportFragAck:
-			e.wHandleFragAck(f.Src, f)
+			e.wHandleFragAck(f.Src, p, f)
 		case frame.TransportAck:
-			e.wHandleMsgAck(f.Src, f)
+			e.wHandleMsgAck(f.Src, p, f)
 		case frame.TransportNack:
-			e.wHandleNack(f.Src, f)
+			e.wHandleNack(f.Src, p, f)
 		}
 	}
 	// TransportData toward a windowed endpoint would mean a mixed-mode
 	// network, which is unsupported; such frames fall through and drop.
-}
-
-// wQuiet reports whether the outbound connection toward a peer is inside
-// its reconnect quiet period: no frame of the restarted sequence space has
-// left yet, so inbound acknowledgements can only belong to the previous,
-// dead connection.
-func (e *Endpoint) wQuiet(ws *wsend) bool {
-	return ws != nil && e.k.Now() < ws.quietUntil
 }
 
 // wAckAdvance releases every fragment covered by the cumulative point and
@@ -808,19 +672,18 @@ func (e *Endpoint) wAckAdvance(ws *wsend, cum uint8) bool {
 // wHandleCumAck applies a cumulative frame acknowledgement (standalone or
 // piggybacked) and, on progress, lets admission and transmission resume.
 // Reports whether the cumulative point advanced.
-func (e *Endpoint) wHandleCumAck(src frame.MID, cum uint8) bool {
-	ws := e.wout[src]
-	if ws == nil || e.wQuiet(ws) {
+func (e *Endpoint) wHandleCumAck(src frame.MID, p *peer, cum uint8) bool {
+	if p.ws == nil || e.quiet(p) {
 		// The quiet guard covers piggybacked acks riding inbound FRAGs;
 		// standalone acknowledgement frames are dropped in wProcess.
 		return false
 	}
-	if !e.wAckAdvance(ws, cum) {
+	if !e.wAckAdvance(p.ws, cum) {
 		return false
 	}
-	ws.dupAcks = 0
-	e.wCancelTimer(ws)
-	e.wPump(src, ws)
+	p.ws.dupAcks = 0
+	e.wCancelTimer(p)
+	e.wPump(src, p)
 	return true
 }
 
@@ -829,11 +692,8 @@ func (e *Endpoint) wHandleCumAck(src frame.MID, cum uint8) bool {
 // standalone acks count as duplicates: they are the receiver's explicit
 // "still stuck at cum" signal, whereas piggybacked acks repeat cum on every
 // reverse fragment as a matter of course.
-func (e *Endpoint) wHandleFragAck(src frame.MID, f *frame.TransportFrame) {
-	ws := e.wout[src]
-	if ws == nil {
-		return
-	}
+func (e *Endpoint) wHandleFragAck(src frame.MID, p *peer, f *frame.TransportFrame) {
+	ws := p.ws
 	if f.SackBits != 0 {
 		for i := range ws.frames {
 			d := ws.frames[i].seq - (f.Seq + 2)
@@ -842,7 +702,7 @@ func (e *Endpoint) wHandleFragAck(src frame.MID, f *frame.TransportFrame) {
 			}
 		}
 	}
-	if e.wHandleCumAck(src, f.Seq) {
+	if e.wHandleCumAck(src, p, f.Seq) {
 		return
 	}
 	if len(ws.frames) == 0 {
@@ -872,13 +732,13 @@ func (e *Endpoint) wHandleFragAck(src frame.MID, f *frame.TransportFrame) {
 	if hi >= 0 {
 		for i := range ws.frames[:hi] {
 			if !ws.frames[i].sacked && ws.frames[i].wireAt <= e.k.Now() {
-				e.wResendFrag(src, ws, i, 1)
+				e.wResendFrag(src, p, i, 1)
 				resent = true
 			}
 		}
 	}
 	if !resent && ws.frames[0].wireAt <= e.k.Now() {
-		e.wResendFrag(src, ws, 0, 1)
+		e.wResendFrag(src, p, 0, 1)
 	}
 	// No multiplicative decrease here: on this wire loss is random, not
 	// congestive, so a dup-ack-repaired hole says nothing the window
@@ -886,28 +746,25 @@ func (e *Endpoint) wHandleFragAck(src frame.MID, f *frame.TransportFrame) {
 	// actually stalled for a full drain + interval) shrinks cwnd.
 	// The retransmission deserves a fresh round trip before the timer
 	// can fire and trigger a full recovery round.
-	e.wCancelTimer(ws)
-	e.wArm(src, ws)
+	e.wCancelTimer(p)
+	e.wArm(src, p)
 }
 
 // wHandleMsgAck completes the acknowledged message: its fragments are
 // released, its callback runs with any piggybacked reply, and the window
 // opens for the next queued message.
-func (e *Endpoint) wHandleMsgAck(src frame.MID, f *frame.TransportFrame) {
+func (e *Endpoint) wHandleMsgAck(src frame.MID, p *peer, f *frame.TransportFrame) {
 	if f.AckPresent {
-		e.wHandleCumAck(src, f.AckSeq)
+		e.wHandleCumAck(src, p, f.AckSeq)
 	}
-	ws := e.wout[src]
-	if ws == nil {
-		return
-	}
+	ws := p.ws
 	m := ws.take(f.Seq)
 	if m == nil {
 		return // duplicate ack of an already-completed message
 	}
 	// A completion is real progress — it restarts the no-response clock
 	// even in the probe state, where wProcess deliberately does not.
-	ws.deadline = e.k.Now() + e.cfg.DeadAfter()
+	p.deadline = e.k.Now() + e.cfg.DeadAfter()
 	e.wDropFrames(ws, m)
 	e.emit(EvAckRx, src, f.Seq, 0)
 	if ws.cwnd < e.window() {
@@ -925,8 +782,8 @@ func (e *Endpoint) wHandleMsgAck(src frame.MID, f *frame.TransportFrame) {
 	if m.cb != nil {
 		m.cb(Result{Kind: ResultAcked, Reply: f.Payload})
 	}
-	e.wCancelTimer(ws)
-	e.wPump(src, ws)
+	e.wCancelTimer(p)
+	e.wPump(src, p)
 }
 
 // wHandleNack processes a message-level negative acknowledgement. BUSY parks
@@ -934,14 +791,11 @@ func (e *Endpoint) wHandleMsgAck(src frame.MID, f *frame.TransportFrame) {
 // are dropped from the recovery set because the receiver provably assembled
 // the whole message before refusing it, and the retry re-fragments from the
 // start with fresh frame sequences. Error NACKs consume the message.
-func (e *Endpoint) wHandleNack(src frame.MID, f *frame.TransportFrame) {
-	ws := e.wout[src]
-	if ws == nil {
-		return
-	}
+func (e *Endpoint) wHandleNack(src frame.MID, p *peer, f *frame.TransportFrame) {
+	ws := p.ws
 	msgSeq := f.Seq
 	if f.Err == frame.NackBusy {
-		var m *wmsg
+		var m *msg
 		for _, c := range ws.inflight {
 			if c.msgSeq == msgSeq {
 				m = c
@@ -951,7 +805,7 @@ func (e *Endpoint) wHandleNack(src frame.MID, f *frame.TransportFrame) {
 		if m == nil || m.parked {
 			return
 		}
-		ws.deadline = e.k.Now() + e.cfg.DeadAfter()
+		p.deadline = e.k.Now() + e.cfg.DeadAfter()
 		e.emit(EvBusyRetry, src, msgSeq, 0)
 		m.parked = true
 		m.parkGen++
@@ -960,15 +814,15 @@ func (e *Endpoint) wHandleNack(src frame.MID, f *frame.TransportFrame) {
 		gen := m.parkGen
 		epoch := e.epoch
 		e.k.After(e.cfg.BusyRetryInterval, func() {
-			if epoch != e.epoch || e.wout[src] != ws || m.done ||
+			if epoch != e.epoch || p.ws != ws || m.done ||
 				!m.parked || m.parkGen != gen {
 				return
 			}
 			m.parked = false
-			e.wPump(src, ws)
+			e.wPump(src, p)
 		})
-		e.wCancelTimer(ws)
-		e.wArm(src, ws) // still covers the other in-flight messages
+		e.wCancelTimer(p)
+		e.wArm(src, p) // still covers the other in-flight messages
 		return
 	}
 	m := ws.take(msgSeq)
@@ -978,13 +832,13 @@ func (e *Endpoint) wHandleNack(src frame.MID, f *frame.TransportFrame) {
 	// An error NACK is a definitive (if negative) answer: progress for the
 	// no-response clock, letting the probe loop drain multiple stuck
 	// messages one per round without tripping peer-dead.
-	ws.deadline = e.k.Now() + e.cfg.DeadAfter()
+	p.deadline = e.k.Now() + e.cfg.DeadAfter()
 	e.wDropFrames(ws, m)
 	if m.cb != nil {
 		m.cb(Result{Kind: ResultError, Err: f.Err})
 	}
-	e.wCancelTimer(ws)
-	e.wPump(src, ws)
+	e.wCancelTimer(p)
+	e.wPump(src, p)
 }
 
 // wHandleFrag is the receive side: frame acceptance against the cumulative
@@ -994,12 +848,12 @@ func (e *Endpoint) wHandleNack(src frame.MID, f *frame.TransportFrame) {
 // answered with a SACK so the sender learns the exact holes. Payloads are
 // always copied out of the shared bus buffer — delivery (and ooo draining)
 // happens on a later event, past the buffer's lifetime.
-func (e *Endpoint) wHandleFrag(src frame.MID, f *frame.TransportFrame) {
+func (e *Endpoint) wHandleFrag(src frame.MID, p *peer, f *frame.TransportFrame) {
 	if f.AckPresent {
-		e.wHandleCumAck(src, f.AckSeq)
+		e.wHandleCumAck(src, p, f.AckSeq)
 	}
-	wr := e.wrecvFor(src)
-	wr.lastHeard = e.k.Now()
+	wr := e.wrecvFor(src).wr
+	p.lastHeard = e.k.Now()
 	if !wr.valid {
 		// "Take any SN" adoption (§5.2.2) — but only a message-initial
 		// fragment can start a fresh record; a mid-message fragment waits
@@ -1020,7 +874,7 @@ func (e *Endpoint) wHandleFrag(src frame.MID, f *frame.TransportFrame) {
 			// a lost completion ack — replay it from the cache.
 			if f.FragEnd {
 				if cr, ok := wr.cache[f.MsgSeq]; ok {
-					e.wReplay(src, f.MsgSeq, cr)
+					e.replay(src, p, f.MsgSeq, cr)
 					return
 				}
 				if wr.skipped[f.MsgSeq] || seqLT(f.MsgSeq, wr.next) {
@@ -1029,21 +883,21 @@ func (e *Endpoint) wHandleFrag(src frame.MID, f *frame.TransportFrame) {
 					// the cache was evicted. No probe can ever be
 					// answered; tell the sender so instead of dup-acking
 					// it into a livelock.
-					e.wSendMsgNack(src, f.MsgSeq, frame.ErrReplyLost)
+					e.sendNack(src, p, f.MsgSeq, frame.ErrReplyLost)
 					return
 				}
 			}
 			// A duplicate means the sender is retransmitting blind;
 			// answer immediately (with SACK state) rather than waiting
 			// out the piggyback delay.
-			e.wSendFragAck(src, wr)
+			e.wSendFragAck(src, p)
 			return
 		default:
-			e.wBufferOOO(src, wr, f)
+			e.wBufferOOO(src, p, f)
 			return
 		}
 	}
-	e.wAcceptStream(src, wr, f.MsgSeq, f.FragIndex, f.FragEnd, f.Urgent, f.Payload)
+	e.wAcceptStream(src, p, f.MsgSeq, f.FragIndex, f.FragEnd, f.Urgent, f.Payload)
 	// The hole just filled; drain every now-contiguous banked fragment
 	// into the assembly stream, in sequence order.
 	for {
@@ -1053,14 +907,15 @@ func (e *Endpoint) wHandleFrag(src frame.MID, f *frame.TransportFrame) {
 		}
 		delete(wr.ooo, wr.cum+1)
 		wr.cum++
-		e.wAcceptStream(src, wr, of.msgSeq, of.idx, of.end, of.urgent, of.payload)
+		e.wAcceptStream(src, p, of.msgSeq, of.idx, of.end, of.urgent, of.payload)
 	}
 }
 
 // wAcceptStream advances the contiguous reassembly stream by one fragment
 // that is now in order (fresh off the wire, or drained from the ooo buffer)
 // and already accounted for in wr.cum.
-func (e *Endpoint) wAcceptStream(src frame.MID, wr *wrecv, msgSeq, fragIdx uint8, end, urgent bool, payload []byte) {
+func (e *Endpoint) wAcceptStream(src frame.MID, p *peer, msgSeq, fragIdx uint8, end, urgent bool, payload []byte) {
+	wr := p.wr
 	if wr.asmOpen && (wr.asmSeq != msgSeq || wr.asmIdx != int(fragIdx)) {
 		// The sender restarted the message (busy retry) or moved on;
 		// whatever was accumulating is void.
@@ -1073,7 +928,7 @@ func (e *Endpoint) wAcceptStream(src frame.MID, wr *wrecv, msgSeq, fragIdx uint8
 			// position is consumed but the content is unusable; the
 			// sender recovers at the message level (probe → replay or
 			// busy retry from fragment zero).
-			e.wScheduleCumAck(src, wr)
+			e.wScheduleCumAck(src, p)
 			return
 		}
 		wr.asmOpen = true
@@ -1084,7 +939,7 @@ func (e *Endpoint) wAcceptStream(src frame.MID, wr *wrecv, msgSeq, fragIdx uint8
 	wr.asmIdx++
 	if !end {
 		wr.asm = append(wr.asm, payload...)
-		e.wScheduleCumAck(src, wr)
+		e.wScheduleCumAck(src, p)
 		return
 	}
 	wr.asmOpen = false
@@ -1093,19 +948,19 @@ func (e *Endpoint) wAcceptStream(src frame.MID, wr *wrecv, msgSeq, fragIdx uint8
 	if cr, ok := wr.cache[msgSeq]; ok {
 		// A full re-delivery of an answered message (busy retry whose
 		// first delivery was consumed, with the answer lost): replay.
-		e.wReplay(src, msgSeq, cr)
+		e.replay(src, p, msgSeq, cr)
 		return
 	}
 	if wr.skipped[msgSeq] || seqLT(msgSeq, wr.next) {
-		e.wScheduleCumAck(src, wr)
+		e.wScheduleCumAck(src, p)
 		return // stale incarnation of an already-consumed message
 	}
 	if wr.buffered == nil {
 		wr.buffered = make(map[uint8]*winMsg)
 	}
 	wr.buffered[msgSeq] = &winMsg{payload: full, urgent: urgent}
-	e.wScheduleCumAck(src, wr)
-	e.wTryDeliver(src, wr)
+	e.wScheduleCumAck(src, p)
+	e.wTryDeliver(src, p)
 }
 
 // wBufferOOO banks an out-of-order fragment for later draining and answers
@@ -1116,10 +971,11 @@ func (e *Endpoint) wAcceptStream(src frame.MID, wr *wrecv, msgSeq, fragIdx uint8
 // cumulative point is the one discarded (deterministic, and the safest
 // choice: far fragments are the last the drain could ever use, and the
 // sender's un-released frames re-send them if the SACK never covers them).
-func (e *Endpoint) wBufferOOO(src frame.MID, wr *wrecv, f *frame.TransportFrame) {
+func (e *Endpoint) wBufferOOO(src frame.MID, p *peer, f *frame.TransportFrame) {
+	wr := p.wr
 	dist := f.Seq - wr.cum
 	if dist < 2 || dist >= 2+sackSpan {
-		e.wScheduleCumAck(src, wr)
+		e.wScheduleCumAck(src, p)
 		return
 	}
 	if _, ok := wr.ooo[f.Seq]; !ok {
@@ -1150,7 +1006,7 @@ func (e *Endpoint) wBufferOOO(src frame.MID, wr *wrecv, f *frame.TransportFrame)
 			}
 		}
 	}
-	e.wSendFragAck(src, wr)
+	e.wSendFragAck(src, p)
 }
 
 // sackBits builds the SACK bitmap over the ooo buffer: bit i set means
@@ -1191,7 +1047,8 @@ func sackBlockCount(bits uint64) int {
 // delivery is outstanding at a time; the verdict (wConsume) triggers the
 // next. The upper-layer hook runs on a fresh event so a verdict arriving
 // via ResolveHold cannot reenter OnData from client context.
-func (e *Endpoint) wTryDeliver(src frame.MID, wr *wrecv) {
+func (e *Endpoint) wTryDeliver(src frame.MID, p *peer) {
+	wr := p.wr
 	if wr.delivering {
 		return
 	}
@@ -1238,32 +1095,32 @@ func (e *Endpoint) wTryDeliver(src frame.MID, wr *wrecv) {
 // wApplyVerdict is the windowed counterpart of applyVerdict: it disposes of
 // a delivered message per the upper layer's decision.
 func (e *Endpoint) wApplyVerdict(src frame.MID, msgSeq uint8, dec Decision) {
-	wr := e.wrecvFor(src)
+	p := e.wrecvFor(src)
 	switch dec.Verdict {
 	case VerdictAck:
-		e.wConsume(src, wr, msgSeq, cachedReply{kind: replyAck, payload: dec.Reply})
-		e.wSendMsgAck(src, msgSeq, dec.Reply)
+		e.wConsume(src, p, msgSeq, cachedReply{kind: replyAck, payload: dec.Reply})
+		e.sendAck(src, p, msgSeq, dec.Reply)
 	case VerdictError:
-		e.wConsume(src, wr, msgSeq, cachedReply{kind: replyNack, err: dec.Err})
-		e.wSendMsgNack(src, msgSeq, dec.Err)
+		e.wConsume(src, p, msgSeq, cachedReply{kind: replyNack, err: dec.Err})
+		e.sendNack(src, p, msgSeq, dec.Err)
 	case VerdictAckDeferred:
 		// No piggyback rides a windowed completion ack, so the deferral
 		// degrades to a plain ack after one ack-delay (A).
-		e.wConsume(src, wr, msgSeq, cachedReply{kind: replyAck})
+		e.wConsume(src, p, msgSeq, cachedReply{kind: replyAck})
 		epoch := e.epoch
 		e.k.After(e.cfg.A, func() {
 			if epoch != e.epoch {
 				return
 			}
-			e.wSendMsgAck(src, msgSeq, nil)
+			e.sendAck(src, p, msgSeq, nil)
 		})
 	case VerdictBusy:
 		// Not consumed: the sender re-fragments after its busy-retry
 		// interval; meanwhile urgent buffered messages may overtake.
-		wr.delivering = false
-		wr.busyWait = true
-		e.wSendMsgNack(src, msgSeq, frame.NackBusy)
-		e.wTryDeliver(src, wr)
+		p.wr.delivering = false
+		p.wr.busyWait = true
+		e.sendNack(src, p, msgSeq, frame.NackBusy)
+		e.wTryDeliver(src, p)
 	case VerdictHold:
 		e.hold(src, msgSeq, dec)
 	default:
@@ -1274,7 +1131,8 @@ func (e *Endpoint) wApplyVerdict(src frame.MID, msgSeq uint8, dec Decision) {
 // wConsume records a consuming verdict: delivery order advances, the reply
 // is cached for duplicate replay, and the next buffered message (if any)
 // is handed up.
-func (e *Endpoint) wConsume(src frame.MID, wr *wrecv, msgSeq uint8, cr cachedReply) {
+func (e *Endpoint) wConsume(src frame.MID, p *peer, msgSeq uint8, cr cachedReply) {
+	wr := p.wr
 	wr.delivering = false
 	if msgSeq == wr.next {
 		wr.next++
@@ -1298,93 +1156,25 @@ func (e *Endpoint) wConsume(src frame.MID, wr *wrecv, msgSeq uint8, cr cachedRep
 		}
 	}
 	wr.cache[msgSeq] = cr
-	e.wTryDeliver(src, wr)
-}
-
-// wReplay re-answers a duplicate of a consumed message from the cache.
-func (e *Endpoint) wReplay(src frame.MID, msgSeq uint8, cr cachedReply) {
-	switch cr.kind {
-	case replyAck:
-		e.wSendMsgAck(src, msgSeq, cr.payload)
-	case replyNack:
-		e.wSendMsgNack(src, msgSeq, cr.err)
-	}
-}
-
-// wSendMsgAck transmits a message-completion acknowledgement, doubling as
-// the cumulative fragment acknowledgement for the link.
-func (e *Endpoint) wSendMsgAck(dst frame.MID, msgSeq uint8, reply []byte) {
-	e.emit(EvAckTx, dst, msgSeq, 0)
-	d := e.chargeSend(false, 0)
-	epoch := e.epoch
-	e.k.After(d, func() {
-		if epoch != e.epoch {
-			return
-		}
-		f := &frame.TransportFrame{
-			Kind:     frame.TransportAck,
-			Src:      e.mid,
-			Dst:      dst,
-			Seq:      msgSeq,
-			ConnOpen: true,
-			Payload:  reply,
-		}
-		if wr := e.win[dst]; wr != nil && wr.valid {
-			f.AckPresent = true
-			f.AckSeq = wr.cum
-			wr.ackGen++
-			wr.ackPending = false
-			e.iface.CountCumulativeAck()
-			e.emit(EvCumAck, dst, wr.cum, 0)
-		}
-		e.transmit(f)
-	})
-}
-
-// wSendMsgNack transmits a message-level negative acknowledgement (BUSY or
-// an error code), also carrying the cumulative fragment acknowledgement.
-func (e *Endpoint) wSendMsgNack(dst frame.MID, msgSeq uint8, code frame.ErrCode) {
-	d := e.chargeSend(false, 0)
-	epoch := e.epoch
-	e.k.After(d, func() {
-		if epoch != e.epoch {
-			return
-		}
-		f := &frame.TransportFrame{
-			Kind:     frame.TransportNack,
-			Src:      e.mid,
-			Dst:      dst,
-			Seq:      msgSeq,
-			ConnOpen: true,
-			Err:      code,
-		}
-		if wr := e.win[dst]; wr != nil && wr.valid {
-			f.AckPresent = true
-			f.AckSeq = wr.cum
-			wr.ackGen++
-			wr.ackPending = false
-			e.iface.CountCumulativeAck()
-			e.emit(EvCumAck, dst, wr.cum, 0)
-		}
-		e.transmit(f)
-	})
+	e.wTryDeliver(src, p)
 }
 
 // wScheduleCumAck arranges a standalone cumulative fragment acknowledgement
 // after a short wait — long enough for an imminent message-completion ack or
 // reverse fragment to carry the cumulative ack for free (§5.2.3's piggyback
 // preference), but well inside the sender's retransmission guard.
-func (e *Endpoint) wScheduleCumAck(src frame.MID, wr *wrecv) {
+func (e *Endpoint) wScheduleCumAck(src frame.MID, p *peer) {
+	wr := p.wr
 	if wr.ackPending {
 		return
 	}
 	wr.ackPending = true
 	wr.ackGen++
 	gen := wr.ackGen
-	delay := e.cfg.A + 2*e.wireTime(e.wFragSize(0))
+	delay := e.cfg.A + 2*e.wireTime(DefaultFragSize)
 	epoch := e.epoch
 	e.k.After(delay, func() {
-		if epoch != e.epoch || e.win[src] != wr || wr.ackGen != gen || !wr.ackPending {
+		if epoch != e.epoch || p.wr != wr || wr.ackGen != gen || !wr.ackPending {
 			return
 		}
 		wr.ackPending = false
@@ -1403,13 +1193,14 @@ func (e *Endpoint) wScheduleCumAck(src frame.MID, wr *wrecv) {
 // every duplicate and out-of-order arrival: the prompt, SACK-bearing
 // answer is what drives the sender's hole picture and its duplicate-ack
 // fast-retransmit counter.
-func (e *Endpoint) wSendFragAck(src frame.MID, wr *wrecv) {
+func (e *Endpoint) wSendFragAck(src frame.MID, p *peer) {
+	wr := p.wr
 	wr.ackPending = false
 	wr.ackGen++
 	d := e.chargeSend(false, 0)
 	epoch := e.epoch
 	e.k.After(d, func() {
-		if epoch != e.epoch || e.win[src] != wr || !wr.valid {
+		if epoch != e.epoch || p.wr != wr || !wr.valid {
 			return
 		}
 		e.wTransmitFragAck(src, wr)
