@@ -230,4 +230,96 @@ func TestWindowPropertyBattery(t *testing.T) {
 			})
 		}
 	}
+	// Blackout cells: the same transfer through a silence longer than
+	// DeadAfter, where peer-dead verdicts and reconnects are certain.
+	for _, window := range []int{1, 4, 8} {
+		for _, seed := range seeds {
+			window, seed := window, seed
+			t.Run(fmt.Sprintf("blackout/w%d/seed%d", window, seed), func(t *testing.T) {
+				first := runBlackoutProperty(t, seed, window)
+				if again := runBlackoutProperty(t, seed, window); first != again {
+					t.Fatalf("nondeterministic: %+v vs %+v", first, again)
+				}
+			})
+		}
+	}
+}
+
+// runBlackoutProperty drives the battery's bidirectional transfer through
+// the battery's fault schedule plus a blackout longer than DeadAfter in
+// mid-transfer, resubmitting every message the transport reports dead. It
+// asserts "acked ⇒ delivered": every message acked was delivered, and acked
+// with the reply to its own delivery. A message resubmitted after a
+// peer-dead verdict may legitimately be delivered twice (the verdict cannot
+// tell a lost message from a lost acknowledgement), so duplicates and
+// error verdicts are logged, not failed. The log shows a known windowed
+// defect (w4 seed 2, w8 seeds 3 and 7): a receiver's own peer-dead verdict
+// discards its receive half while the sender's death clock survives, the
+// fresh half adopts the sender's stream at a later message, and the earlier
+// messages' probes are answered ErrReplyLost though they were never
+// delivered.
+func runBlackoutProperty(t *testing.T, seed int64, window int) windowPropOutcome {
+	t.Helper()
+	const perDir = 12
+	delivered := map[string]int{}
+	tag := func(p []byte) string { return string(p[:bytes.IndexByte(p, ':')]) }
+	onData := func(_ frame.MID, p []byte) Decision {
+		delivered[tag(p)]++
+		return Decision{Verdict: VerdictAck, Reply: []byte("ack:" + tag(p))}
+	}
+	hooks := map[frame.MID]Hooks{1: {OnData: onData}, 2: {OnData: onData}}
+	r := newWindowRig(t, seed, window, []frame.MID{1, 2}, hooks)
+	from := sim.Time(100 * time.Millisecond)
+	r.b.SetFaultModel(&blackout{
+		from: from,
+		to:   from + DefaultConfig().DeadAfter() + 50*time.Millisecond,
+		base: &wireSchedule{k: r.k, cutoff: sim.Time(450 * time.Millisecond), loss: 0.10, dup: 0.08, corrupt: 0.05},
+	})
+	acked, failed, resubmits := 0, 0, 0
+	send := func(src, dst frame.MID, dir string, i, size int) {
+		p := propFill(dir, i, max(size, 16))
+		want := "ack:" + tag(p)
+		var cb func(Result)
+		cb = func(res Result) {
+			switch res.Kind {
+			case ResultAcked:
+				acked++
+				if delivered[tag(p)] == 0 {
+					t.Errorf("%s acked but never delivered", tag(p))
+				}
+				if string(res.Reply) != want {
+					t.Errorf("%s acked with reply %q, want %q", tag(p), res.Reply, want)
+				}
+			case ResultPeerDead:
+				resubmits++
+				r.eps[src].Send(dst, p, nil, cb)
+			default:
+				failed++
+				t.Logf("%s failed with error %v", tag(p), res.Err)
+			}
+		}
+		r.eps[src].Send(dst, p, nil, cb)
+	}
+	for i := 0; i < perDir; i++ {
+		i := i
+		r.k.At(time.Duration(i)*40*time.Millisecond, func() { send(1, 2, "fwd", i, propMsgSize(seed, i)) })
+		r.k.At(time.Duration(i)*40*time.Millisecond+13*time.Millisecond, func() {
+			send(2, 1, "rev", i, propMsgSize(seed+1, i))
+		})
+	}
+	if err := r.k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if acked+failed != 2*perDir {
+		t.Fatalf("resolved %d/%d sends", acked+failed, 2*perDir)
+	}
+	if resubmits == 0 {
+		t.Fatal("no peer-dead verdict: the blackout exercised nothing")
+	}
+	dups := 0
+	for _, n := range delivered {
+		dups += n - 1
+	}
+	t.Logf("%d resubmits, %d duplicate deliveries, %d failed", resubmits, dups, failed)
+	return windowPropOutcome{frames: r.b.Stats().FramesSent, finalAt: r.k.Now()}
 }

@@ -2,9 +2,11 @@ package deltat
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
+	"soda/internal/bus"
 	"soda/internal/frame"
 	"soda/internal/sim"
 )
@@ -223,6 +225,87 @@ func TestWindowPeerDead(t *testing.T) {
 	}
 	if !r.eps[1].Quiescent() {
 		t.Fatal("endpoint not quiescent after peer death")
+	}
+}
+
+// reconnectWire loses every frame node 2 sends until healed, and after that,
+// if loseFirst, the first data-bearing frame node 1 sends.
+type reconnectWire struct {
+	healed, loseFirst bool
+}
+
+func (w *reconnectWire) Judge(_ sim.Time, src, _ frame.MID, raw []byte) bus.FaultAction {
+	if !w.healed {
+		return bus.FaultAction{Drop: src == 2}
+	}
+	if f, err := frame.DecodeTransportShared(raw); err == nil && src == 1 && w.loseFirst &&
+		(f.Kind == frame.TransportData || f.Kind == frame.TransportFrag) {
+		w.loseFirst = false
+		return bus.FaultAction{Drop: true}
+	}
+	return bus.FaultAction{}
+}
+
+// TestReconnectAfterPeerDead pins "acked ⇒ delivered" across a peer-dead
+// verdict, under both framings. Node 2 delivers A, but every frame it sends
+// is lost, so node 1 declares it dead. Node 1 then sends B on the healed
+// wire, and straggler answers to A from the dead connection — an ACK with
+// A's reply, and an error NACK — arrive inside the reconnect quiet period.
+// B must be delivered exactly once and acked with its own reply: the
+// restarted sequence space may not alias A's receive record at node 2, and
+// no straggler may complete B. Under stop-and-wait B's first copy is lost
+// too, so B also needs a death clock that started at the end of the quiet
+// period and that no straggler pulled back. The windowed framing does not
+// survive that loss yet: its recovery timer adds the quiet period on top of
+// a drain wait that already ends after it, so the first fire lands past the
+// death deadline and the reconnect dies without one retransmission.
+func TestReconnectAfterPeerDead(t *testing.T) {
+	for _, window := range []int{1, 4} {
+		window := window
+		t.Run(fmt.Sprintf("w%d", window), func(t *testing.T) {
+			var delivered []string
+			hooks := map[frame.MID]Hooks{
+				2: {OnData: func(_ frame.MID, p []byte) Decision {
+					delivered = append(delivered, string(p))
+					return Decision{Verdict: VerdictAck, Reply: []byte("reply-" + string(p))}
+				}},
+			}
+			r := newWindowRig(t, 1, window, []frame.MID{1, 2}, hooks)
+			w := &reconnectWire{loseFirst: window == 1}
+			r.b.SetFaultModel(w)
+			e1 := r.eps[1]
+			var resA, resB *Result
+			e1.Send(2, []byte("A"), nil, func(res Result) {
+				resA = &res
+				w.healed = true
+				e1.Send(2, []byte("B"), nil, func(res Result) { resB = &res })
+				// A's only frame had sequence 0 under either framing, as
+				// does B's: each straggler would fit B exactly.
+				for i, f := range []*frame.TransportFrame{
+					{Kind: frame.TransportAck, Payload: []byte("reply-A")},
+					{Kind: frame.TransportNack, Err: frame.ErrUnadvertised},
+				} {
+					f.Src, f.Dst, f.ConnOpen, f.AckPresent = 2, 1, true, window > 1
+					raw := frame.EncodeTransport(f)
+					r.k.After(time.Duration(i+1)*time.Millisecond, func() { e1.receive(raw) })
+				}
+			})
+			if err := r.k.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if resA == nil || resA.Kind != ResultPeerDead {
+				t.Fatalf("A: result %+v, want peer-dead", resA)
+			}
+			if resB == nil || resB.Kind != ResultAcked || string(resB.Reply) != "reply-B" {
+				t.Fatalf("B: result %+v, want acked with reply-B", resB)
+			}
+			if len(delivered) != 2 || delivered[0] != "A" || delivered[1] != "B" {
+				t.Fatalf("delivered %q, want [A B]", delivered)
+			}
+			if w.loseFirst {
+				t.Fatal("B's first copy was never lost")
+			}
+		})
 	}
 }
 
