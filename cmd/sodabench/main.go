@@ -52,7 +52,7 @@ func main() {
 		fmt.Println()
 		printDeltaT()
 	case "none":
-		// Profile-only mode (CI bench-smoke).
+		// Profile-only mode.
 	default:
 		fmt.Fprintf(os.Stderr, "sodabench: unknown table %q\n", *table)
 		os.Exit(2)

@@ -1,13 +1,9 @@
 // Command sodavet runs this module's determinism and zero-overhead
-// analyzers (see lint/...) over Go packages.
+// analyzers (see lint/...) over the module's packages:
 //
-// Standalone:
-//
-//	go run ./cmd/sodavet ./...
-//
-// As a vet tool (best effort — module packages only):
-//
-//	go vet -vettool=$(go env GOPATH)/bin/sodavet ./...
+//	go run ./cmd/sodavet ./...                 # findings on stderr
+//	go run ./cmd/sodavet -json ./...           # findings as a JSON array on stdout
+//	go run ./cmd/sodavet -suppressions ./...   # list every suppression site
 //
 // Exit status: 0 clean, 1 findings, 2 operational failure. Suppress a
 // finding with a scoped annotation on (or directly above) the flagged line:
@@ -27,7 +23,6 @@ import (
 	"soda/lint/obszerocost"
 	"soda/lint/parcapture"
 	"soda/lint/segshare"
-	"soda/lint/statsreset"
 )
 
 func main() {
@@ -37,7 +32,6 @@ func main() {
 		nogoroutine.Analyzer,
 		mapiterorder.Analyzer,
 		obszerocost.Analyzer,
-		statsreset.Analyzer,
 		noalloc.Analyzer,
 		segshare.Analyzer,
 		parcapture.Analyzer,

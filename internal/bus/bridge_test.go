@@ -79,30 +79,6 @@ func TestBridgeDoesNotEchoSender(t *testing.T) {
 	}
 }
 
-// TestStatsAdd pins the reflective aggregation helper: every uint64
-// counter sums and ByKind merges, including into a zero-valued receiver.
-func TestStatsAdd(t *testing.T) {
-	a := Stats{FramesSent: 1, Retransmissions: 2,
-		ByKind: map[frame.TransportKind]uint64{frame.TransportData: 3}}
-	b := Stats{FramesSent: 10, FramesLost: 5, PatternTableFull: 7,
-		ByKind: map[frame.TransportKind]uint64{frame.TransportData: 1, frame.TransportAck: 2}}
-	var agg Stats
-	agg.Add(a)
-	agg.Add(b)
-	if agg.FramesSent != 11 || agg.FramesLost != 5 || agg.Retransmissions != 2 || agg.PatternTableFull != 7 {
-		t.Fatalf("summed counters wrong: %+v", agg)
-	}
-	if agg.ByKind[frame.TransportData] != 4 || agg.ByKind[frame.TransportAck] != 2 {
-		t.Fatalf("ByKind merge wrong: %v", agg.ByKind)
-	}
-	// Adding an empty Stats changes nothing.
-	before := agg.FramesSent
-	agg.Add(Stats{})
-	if agg.FramesSent != before {
-		t.Fatal("adding zero Stats changed a counter")
-	}
-}
-
 // TestTransportCounterHooks covers the Iface counter pass-throughs the
 // transport reports into bus stats.
 func TestTransportCounterHooks(t *testing.T) {

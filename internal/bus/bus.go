@@ -172,7 +172,9 @@ type FaultModel interface {
 // transmission, so observers must not mutate it — and Corrupted reports
 // whether the fault model damaged the frame in transit.
 //
-// lint:event — construct only under a nil-consumer guard (obszerocost).
+// Construct it only under a nil-consumer guard (sodavet obszerocost).
+//
+//lint:event
 type DeliveryEvent struct {
 	At        sim.Time
 	Src       frame.MID
@@ -183,7 +185,9 @@ type DeliveryEvent struct {
 
 // TapEvent describes one transmission, for tracing.
 //
-// lint:event — construct only under a nil-consumer guard (obszerocost).
+// Construct it only under a nil-consumer guard (sodavet obszerocost).
+//
+//lint:event
 type TapEvent struct {
 	At   sim.Time
 	Src  frame.MID

@@ -81,7 +81,9 @@ func (k ObsKind) String() string {
 // not part of the SODA model and emitting it must never change kernel
 // behavior.
 //
-// lint:event — construct only under a nil-consumer guard (obszerocost).
+// Construct it only under a nil-consumer guard (sodavet obszerocost).
+//
+//lint:event
 type ObsEvent struct {
 	At   sim.Time
 	Kind ObsKind

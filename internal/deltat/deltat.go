@@ -232,7 +232,9 @@ func (k EventKind) String() string {
 // that is invisible to the kernel observer above. Emitting it must never
 // change protocol behavior; with no Observer installed no event is built.
 //
-// lint:event — construct only under a nil-consumer guard (obszerocost).
+// Construct it only under a nil-consumer guard (sodavet obszerocost).
+//
+//lint:event
 type Event struct {
 	At   sim.Time
 	Kind EventKind

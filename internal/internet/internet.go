@@ -22,6 +22,7 @@ package internet
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"soda/internal/bus"
@@ -366,17 +367,20 @@ func (in *Internet) Stats() Stats {
 	total := in.stats
 	for _, g := range in.gateways {
 		for i := range g.astats {
-			st := &g.astats[i]
-			total.FramesForwarded += st.FramesForwarded
-			total.BroadcastsRelayed += st.BroadcastsRelayed
-			total.TTLDrops += st.TTLDrops
-			total.UnroutableDrops += st.UnroutableDrops
-			total.DiscoverHits += st.DiscoverHits
-			total.DiscoverMisses += st.DiscoverMisses
-			total.ProxyReplies += st.ProxyReplies
+			total.add(&g.astats[i])
 		}
 	}
 	return total
+}
+
+// add sums every counter of o into s. Reflection walks the fields so the
+// sum stays exhaustive as counters are added (as bus.Stats.Add does).
+func (s *Stats) add(o *Stats) {
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		f := sv.Field(i)
+		f.SetUint(f.Uint() + ov.Field(i).Uint())
+	}
 }
 
 // ResetStats zeroes every counter by replacing the whole Stats values (see

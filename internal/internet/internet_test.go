@@ -359,6 +359,55 @@ func TestAccessorsAndResetStats(t *testing.T) {
 	}
 }
 
+// TestStatsReportsAndResetsEveryField is the internetwork half of the
+// measurement-window contract (internal/bus/stats_test.go is the bus
+// half). It poisons every field of the directory-side counters and of
+// every gateway attachment's share by reflection, so a counter added later
+// is covered unedited: Stats must report each field summed over all the
+// shares, and ResetStats must zero each field of every share.
+func TestStatsReportsAndResetsEveryField(t *testing.T) {
+	n := newTestNet(t, Star(3))
+	shares := []*Stats{&n.in.stats}
+	for _, g := range n.in.gateways {
+		for i := range g.astats {
+			shares = append(shares, &g.astats[i])
+		}
+	}
+	var want Stats
+	wv := reflect.ValueOf(&want).Elem()
+	for si, s := range shares {
+		v := reflect.ValueOf(s).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).Kind() != reflect.Uint64 {
+				t.Fatalf("Stats field %s has kind %v: teach this test how to poison it",
+					v.Type().Field(i).Name, v.Field(i).Kind())
+			}
+			x := uint64(100*(si+1) + i + 1)
+			v.Field(i).SetUint(x)
+			wv.Field(i).SetUint(wv.Field(i).Uint() + x)
+		}
+	}
+
+	gv := reflect.ValueOf(n.in.Stats())
+	for i := 0; i < gv.NumField(); i++ {
+		if got, w := gv.Field(i).Uint(), wv.Field(i).Uint(); got != w {
+			t.Errorf("Stats().%s = %d, want %d (the sum over %d shares)",
+				gv.Type().Field(i).Name, got, w, len(shares))
+		}
+	}
+
+	n.in.ResetStats()
+	for si, s := range shares {
+		v := reflect.ValueOf(s).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).Uint() != 0 {
+				t.Errorf("share %d: %s = %d after ResetStats, want 0",
+					si, v.Type().Field(i).Name, v.Field(i).Uint())
+			}
+		}
+	}
+}
+
 // TestShardedMatchesSequential is the in-package half of the parallel
 // determinism battery: the same cross-segment traffic runs once on a
 // single kernel (New) and once on a parallel coordinator's shard kernels

@@ -3,66 +3,80 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Main is the multichecker entry point used by cmd/sodavet. It understands
-// three invocation shapes:
+// Main is the multichecker entry point used by cmd/sodavet:
 //
-//	sodavet ./...            — analyze the whole module (standalone mode)
-//	sodavet ./internal/...   — analyze packages under a subtree
-//	sodavet <file>.cfg       — go vet -vettool unit-checking protocol
-//	                           (best-effort: module packages only)
+//	sodavet [-json] [-suppressions] <patterns>
 //
-// plus the -flags/-V=full introspection calls the go command makes before
-// driving a vettool. Standalone mode accepts two option flags before the
-// patterns: -json writes diagnostics to stdout as a JSON array
-// (file/line/col/analyzer/message), and -suppressions lists every active
-// //lint:allow site in the selected packages instead of analyzing them.
-// It returns the process exit code: 0 clean, 1 findings, 2 usage or load
-// failure.
+// The patterns select module packages: "./..." or "all" for the whole
+// module, "./x/..." or "mod/x/..." for a subtree, "./x" or an import path
+// for one package. By default every analyzer runs over the selected
+// packages and each finding is printed to stderr. -json writes the
+// findings to stdout as a JSON array (file/line/col/analyzer/message)
+// instead; -suppressions lists every active //lint:allow site in the
+// selected packages as text instead of analyzing them. It returns the
+// process exit code: 0 clean, 1 findings, 2 usage or load failure.
 func Main(args []string, analyzers []*Analyzer) int {
-	var opts driverOptions
+	var jsonOut, suppressions bool
 	for len(args) > 0 {
-		switch args[0] {
-		case "-json":
-			opts.json = true
-		case "-suppressions":
-			opts.suppressions = true
-		default:
-			goto parsed
+		if args[0] == "-json" {
+			jsonOut = true
+		} else if args[0] == "-suppressions" {
+			suppressions = true
+		} else {
+			break
 		}
 		args = args[1:]
 	}
-parsed:
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: sodavet [-json] [-suppressions] <packages>|<vet.cfg>")
+		fmt.Fprintln(os.Stderr, "usage: sodavet [-json] [-suppressions] <packages>")
 		return 2
 	}
-	switch {
-	case args[0] == "-flags":
-		// The go command queries supported analyzer flags; we add none.
-		fmt.Println("[]")
-		return 0
-	case strings.HasPrefix(args[0], "-V"):
-		fmt.Println("sodavet version devel")
-		return 0
-	case strings.HasSuffix(args[0], ".cfg"):
-		return vetUnitMode(args[0], analyzers)
+	loader, pkgs, selected, err := loadSelected(args)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sodavet:", err)
+		return 2
 	}
-	return standaloneMode(args, analyzers, opts)
-}
-
-// driverOptions are the standalone-mode flags.
-type driverOptions struct {
-	json         bool
-	suppressions bool
+	if suppressions {
+		listSuppressions(selected)
+		return 0
+	}
+	facts := BuildFacts(pkgs)
+	all := []jsonDiagnostic{} // encodes as [], never null
+	for _, pkg := range selected {
+		diags, err := RunAnalyzers(pkg, analyzers, facts)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sodavet:", err)
+			return 2
+		}
+		for _, d := range diags {
+			pos := loader.Fset.Position(d.Pos)
+			all = append(all, jsonDiagnostic{
+				File: pos.Filename, Line: pos.Line, Col: pos.Column,
+				Analyzer: d.Analyzer, Message: d.Message,
+			})
+			if !jsonOut {
+				fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", pos, d.Analyzer, d.Message)
+			}
+		}
+	}
+	if jsonOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(all); err != nil {
+			fmt.Fprintln(os.Stderr, "sodavet:", err)
+			return 2
+		}
+	}
+	if len(all) > 0 {
+		return 1
+	}
+	return 0
 }
 
 // jsonDiagnostic is the -json wire shape for one finding.
@@ -74,88 +88,37 @@ type jsonDiagnostic struct {
 	Message  string `json:"message"`
 }
 
-func standaloneMode(patterns []string, analyzers []*Analyzer, opts driverOptions) int {
+// loadSelected loads every package of the module enclosing the working
+// directory and returns them with the subset the patterns select. All
+// packages feed the facts index, since markers and callees cross package
+// boundaries; only the selected ones are analyzed.
+func loadSelected(patterns []string) (loader *Loader, pkgs, selected []*Package, err error) {
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sodavet:", err)
-		return 2
+		return nil, nil, nil, err
 	}
 	root, err := FindModuleRoot(cwd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sodavet:", err)
-		return 2
+		return nil, nil, nil, err
 	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sodavet:", err)
-		return 2
+	if loader, err = NewLoader(root); err != nil {
+		return nil, nil, nil, err
 	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sodavet:", err)
-		return 2
+	if pkgs, err = loader.LoadAll(); err != nil {
+		return nil, nil, nil, err
 	}
-	selected := selectPackages(pkgs, patterns, loader.ModulePath(), cwd, root)
+	selected = selectPackages(pkgs, patterns, cwd)
 	if len(selected) == 0 {
-		fmt.Fprintln(os.Stderr, "sodavet: no packages match", strings.Join(patterns, " "))
-		return 2
+		return nil, nil, nil, fmt.Errorf("no packages match %s", strings.Join(patterns, " "))
 	}
-	if opts.suppressions {
-		return listSuppressions(selected, opts)
-	}
-	eventTypes := MarkedEventTypes(pkgs)
-	facts := BuildFacts(pkgs)
-	var all []jsonDiagnostic
-	found := false
-	for _, pkg := range selected {
-		diags, err := RunAnalyzers(pkg, analyzers, eventTypes, facts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sodavet:", err)
-			return 2
-		}
-		for _, d := range diags {
-			found = true
-			pos := loader.Fset.Position(d.Pos)
-			if opts.json {
-				all = append(all, jsonDiagnostic{
-					File: pos.Filename, Line: pos.Line, Col: pos.Column,
-					Analyzer: d.Analyzer, Message: d.Message,
-				})
-			} else {
-				fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", pos, d.Analyzer, d.Message)
-			}
-		}
-	}
-	if opts.json {
-		if all == nil {
-			all = []jsonDiagnostic{} // encode as [], never null
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(all); err != nil {
-			fmt.Fprintln(os.Stderr, "sodavet:", err)
-			return 2
-		}
-	}
-	if found {
-		return 1
-	}
-	return 0
-}
-
-// jsonAllowSite is the -suppressions -json wire shape for one annotation.
-type jsonAllowSite struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"`
-	Reason   string `json:"reason"`
+	return loader, pkgs, selected, nil
 }
 
 // listSuppressions prints every //lint:allow annotation in the selected
-// packages, one line per site (or a JSON array with -json), so stale
-// suppressions are auditable. Exit code 0; malformed suppressions are the
-// analysis run's business, not this listing's.
-func listSuppressions(selected []*Package, opts driverOptions) int {
+// packages, one line per site, so stale suppressions are auditable.
+// Malformed suppressions are the analysis run's business, not this
+// listing's: it flags a missing reason but never fails.
+func listSuppressions(selected []*Package) {
 	var sites []AllowSite
 	for _, pkg := range selected {
 		sites = append(sites, CollectAllowSites(pkg)...)
@@ -171,22 +134,6 @@ func listSuppressions(selected []*Package, opts driverOptions) int {
 		}
 		return sites[i].Pos.Line < sites[j].Pos.Line
 	})
-	if opts.json {
-		out := make([]jsonAllowSite, 0, len(sites))
-		for _, s := range sites {
-			out = append(out, jsonAllowSite{
-				File: s.Pos.Filename, Line: s.Pos.Line,
-				Analyzer: s.Analyzer, Reason: s.Reason,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "sodavet:", err)
-			return 2
-		}
-		return 0
-	}
 	for _, s := range sites {
 		reason := s.Reason
 		if reason == "" {
@@ -194,17 +141,16 @@ func listSuppressions(selected []*Package, opts driverOptions) int {
 		}
 		fmt.Printf("%s:%d: %s (%s)\n", s.Pos.Filename, s.Pos.Line, s.Analyzer, reason)
 	}
-	return 0
 }
 
 // selectPackages filters pkgs by the command-line patterns. "./..." (from
 // the module root) and "all" select everything; "./x/..." selects a
 // subtree; "./x" or an import path selects one package.
-func selectPackages(pkgs []*Package, patterns []string, modPath, cwd, root string) []*Package {
+func selectPackages(pkgs []*Package, patterns []string, cwd string) []*Package {
 	var out []*Package
 	for _, pkg := range pkgs {
 		for _, pat := range patterns {
-			if matchPattern(pkg, pat, modPath, cwd, root) {
+			if matchPattern(pkg, pat, cwd) {
 				out = append(out, pkg)
 				break
 			}
@@ -213,7 +159,7 @@ func selectPackages(pkgs []*Package, patterns []string, modPath, cwd, root strin
 	return out
 }
 
-func matchPattern(pkg *Package, pat, modPath, cwd, root string) bool {
+func matchPattern(pkg *Package, pat, cwd string) bool {
 	if pat == "all" {
 		return true
 	}
@@ -239,104 +185,4 @@ func matchPattern(pkg *Package, pat, modPath, cwd, root string) bool {
 		return pkg.Path == base || strings.HasPrefix(pkg.Path, base+"/")
 	}
 	return pkg.Path == pat
-}
-
-// vetConfig is the subset of the go vet unit-checking config we consume.
-type vetConfig struct {
-	Dir        string
-	ImportPath string
-	GoFiles    []string
-}
-
-// vetUnitMode implements enough of the go vet -vettool protocol to analyze
-// module packages: it parses the package's files and type-checks them
-// against the module tree from source. Packages outside the module (or
-// whose type information cannot be rebuilt from source) are skipped rather
-// than failed, since the go command drives the tool over every dependency.
-func vetUnitMode(cfgPath string, analyzers []*Analyzer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sodavet:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "sodavet:", err)
-		return 2
-	}
-	root, err := FindModuleRoot(cfg.Dir)
-	if err != nil {
-		return 0 // outside any module we can analyze
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		return 0
-	}
-	mod := loader.ModulePath()
-	if cfg.ImportPath != mod && !strings.HasPrefix(cfg.ImportPath, mod+"/") {
-		return 0 // dependency package; nothing of ours to check
-	}
-	pkg, err := loadVetUnit(loader, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sodavet:", err)
-		return 2
-	}
-	// Event-type markers and interprocedural facts may live in other
-	// module packages (e.g. a literal of core.ObsEvent built outside
-	// internal/core, or a hotpath root whose callees cross packages), so
-	// scan the whole module. The unit package's own parse replaces the
-	// loader's copy in the facts index so findings anchor to the syntax
-	// being analyzed.
-	all, err := loader.LoadAll()
-	if err != nil {
-		all = []*Package{pkg}
-	}
-	factPkgs := make([]*Package, 0, len(all)+1)
-	for _, p := range all {
-		if p.Path != pkg.Path {
-			factPkgs = append(factPkgs, p)
-		}
-	}
-	factPkgs = append(factPkgs, pkg)
-	eventTypes := MarkedEventTypes(all)
-	diags, err := RunAnalyzers(pkg, analyzers, eventTypes, BuildFacts(factPkgs))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sodavet:", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", loader.Fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// loadVetUnit type-checks exactly the files the go command handed us (which
-// may include generated files outside the package directory).
-func loadVetUnit(loader *Loader, cfg vetConfig) (*Package, error) {
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(loader.Fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{Importer: loader}
-	tpkg, err := conf.Check(cfg.ImportPath, loader.Fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{Path: cfg.ImportPath, Dir: cfg.Dir, Fset: loader.Fset, Files: files, Types: tpkg, Info: info}, nil
 }

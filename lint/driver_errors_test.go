@@ -1,7 +1,7 @@
 // Driver option and failure-path tests: -json diagnostics, the
 // -suppressions audit listing, empty-reason enforcement, and the exit-2
 // operational failures (unparseable source, missing or malformed go.mod,
-// type errors, bad vet .cfg files).
+// type errors).
 package lint_test
 
 import (
@@ -125,43 +125,17 @@ func F() int {
 	if !strings.Contains(out, "nogoroutine (test fixture: sanctioned pool)") {
 		t.Fatalf("audit lost a reasoned suppression:\n%s", out)
 	}
-	if !strings.Contains(out, "MISSING REASON") {
-		t.Fatalf("audit did not flag the reasonless suppression:\n%s", out)
+	// One line per site: three reasoned sites in suppressed/ plus the bare
+	// one, which is the only line flagged.
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("audit listed %d sites, want 4:\n%s", len(lines), out)
 	}
-
-	// Machine-readable variant carries the same sites.
-	var sites []struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Analyzer string `json:"analyzer"`
-		Reason   string `json:"reason"`
-	}
-	out = captureStdout(t, func() {
-		code = lint.Main([]string{"-json", "-suppressions", "./suppressed", "./bare"}, analyzers)
-	})
-	if code != 0 {
-		t.Fatalf("-json -suppressions = %d, want 0", code)
-	}
-	if err := json.Unmarshal([]byte(out), &sites); err != nil {
-		t.Fatalf("-json -suppressions output invalid: %v\n%s", err, out)
-	}
-	if len(sites) != 4 { // three reasoned sites in suppressed/ + one bare
-		t.Fatalf("audit listed %d sites, want 4: %+v", len(sites), sites)
-	}
-	bareSeen := false
-	for _, s := range sites {
-		if s.Analyzer != "nogoroutine" || s.Line <= 0 {
-			t.Fatalf("malformed site: %+v", s)
+	for _, line := range lines {
+		inBare := strings.Contains(line, "bare.go:")
+		if inBare != strings.HasSuffix(line, "nogoroutine (MISSING REASON)") {
+			t.Fatalf("audit line %q: only the bare.go site may be flagged MISSING REASON", line)
 		}
-		if strings.HasSuffix(s.File, "bare.go") {
-			bareSeen = true
-			if s.Reason != "" {
-				t.Fatalf("bare suppression reported with reason %q", s.Reason)
-			}
-		}
-	}
-	if !bareSeen {
-		t.Fatal("bare.go site missing from the JSON audit")
 	}
 }
 
@@ -227,60 +201,6 @@ func TestMainLoadFailures(t *testing.T) {
 		chdir(t, root)
 		if got := lint.Main([]string{"./..."}, analyzers); got != 2 {
 			t.Fatalf("module-less go.mod = %d, want 2", got)
-		}
-	})
-}
-
-func TestVetUnitModeBadCfg(t *testing.T) {
-	analyzers := []*lint.Analyzer{nogoroutine.Analyzer}
-
-	t.Run("cfg is not json", func(t *testing.T) {
-		root := writeTree(t, map[string]string{"unit.cfg": "{this is not json"})
-		if got := lint.Main([]string{filepath.Join(root, "unit.cfg")}, analyzers); got != 2 {
-			t.Fatalf("malformed .cfg = %d, want 2", got)
-		}
-	})
-
-	t.Run("cfg names unparseable file", func(t *testing.T) {
-		root := writeTree(t, map[string]string{
-			"go.mod":     "module tmpmod\n\ngo 1.22\n",
-			"bad/bad.go": "package bad\n\nfunc {\n",
-		})
-		cfg, err := json.Marshal(map[string]any{
-			"Dir":        filepath.Join(root, "bad"),
-			"ImportPath": "tmpmod/bad",
-			"GoFiles":    []string{"bad.go"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(root, "unit.cfg")
-		if err := os.WriteFile(path, cfg, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if got := lint.Main([]string{path}, analyzers); got != 2 {
-			t.Fatalf("unparseable unit file = %d, want 2", got)
-		}
-	})
-
-	t.Run("cfg outside any module", func(t *testing.T) {
-		// The go command drives a vettool over every dependency; packages
-		// whose tree we cannot analyze are skipped, not failed.
-		dir := t.TempDir()
-		cfg, err := json.Marshal(map[string]any{
-			"Dir":        dir,
-			"ImportPath": "example.com/dep",
-			"GoFiles":    []string{"dep.go"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "unit.cfg")
-		if err := os.WriteFile(path, cfg, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if got := lint.Main([]string{path}, analyzers); got != 0 {
-			t.Fatalf("out-of-module .cfg = %d, want 0 (skip)", got)
 		}
 	})
 }

@@ -1,10 +1,8 @@
-// Driver tests: multichecker exit codes over a throwaway module, in both
-// standalone and go vet -vettool (unit .cfg) modes. External test package
-// so the real analyzers can be imported without a cycle.
+// Driver tests: multichecker exit codes over a throwaway module. External
+// test package so the real analyzers can be imported without a cycle.
 package lint_test
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -97,66 +95,5 @@ func TestMainStandaloneExitCodes(t *testing.T) {
 				t.Fatalf("Main(%v) = %d, want %d", tc.args, got, tc.want)
 			}
 		})
-	}
-}
-
-func TestMainVetProtocolHandshake(t *testing.T) {
-	// The go command probes a vettool with -flags and -V=full before
-	// handing it any work; both must succeed without a module present.
-	if got := lint.Main([]string{"-flags"}, nil); got != 0 {
-		t.Fatalf("Main(-flags) = %d, want 0", got)
-	}
-	if got := lint.Main([]string{"-V=full"}, nil); got != 0 {
-		t.Fatalf("Main(-V=full) = %d, want 0", got)
-	}
-}
-
-func TestMainVetUnitMode(t *testing.T) {
-	root := writeModule(t)
-	analyzers := []*lint.Analyzer{nogoroutine.Analyzer}
-
-	writeCfg := func(name string, cfg map[string]any) string {
-		data, err := json.Marshal(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(root, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	dirtyCfg := writeCfg("dirty.cfg", map[string]any{
-		"Dir":        filepath.Join(root, "dirty"),
-		"ImportPath": "tmpmod/dirty",
-		"GoFiles":    []string{"dirty.go"},
-	})
-	if got := lint.Main([]string{dirtyCfg}, analyzers); got != 1 {
-		t.Fatalf("unit mode on dirty package = %d, want 1", got)
-	}
-
-	suppressedCfg := writeCfg("suppressed.cfg", map[string]any{
-		"Dir":        filepath.Join(root, "suppressed"),
-		"ImportPath": "tmpmod/suppressed",
-		"GoFiles":    []string{"s.go"},
-	})
-	if got := lint.Main([]string{suppressedCfg}, analyzers); got != 0 {
-		t.Fatalf("unit mode on suppressed package = %d, want 0", got)
-	}
-
-	// Dependency packages (outside the module) are skipped, not failed:
-	// the go command drives the tool over every import.
-	depCfg := writeCfg("dep.cfg", map[string]any{
-		"Dir":        filepath.Join(root, "dirty"),
-		"ImportPath": "example.com/other/pkg",
-		"GoFiles":    []string{"dirty.go"},
-	})
-	if got := lint.Main([]string{depCfg}, analyzers); got != 0 {
-		t.Fatalf("unit mode on dependency package = %d, want 0", got)
-	}
-
-	if got := lint.Main([]string{filepath.Join(root, "missing.cfg")}, analyzers); got != 2 {
-		t.Fatal("unreadable .cfg did not exit 2")
 	}
 }

@@ -25,7 +25,8 @@ import (
 //
 // The marker name is a single lowercase word; anything after it on the line
 // is explanatory text. //lint:allow is the suppression directive, never a
-// marker. Markers in force:
+// marker. Only the directive form counts: prose such as "// lint:event"
+// (with a space) is not a marker. Markers in force:
 //
 //	lint:hotpath   — noalloc root: must be transitively allocation-free
 //	lint:segroot   — segshare root: segment-handler entry point
@@ -37,6 +38,8 @@ import (
 //	                 segqueue closure)
 //	lint:parfor    — parallel-for entry whose closure argument parcapture
 //	                 checks for unpartitioned captures
+//	lint:event     — on a type: observer event that obszerocost requires
+//	                 to be built only under a nil-consumer guard
 type CallSite struct {
 	// Call is the call expression.
 	Call *ast.CallExpr

@@ -59,10 +59,6 @@ type Pass struct {
 	Pkg *types.Package
 	// Info holds the type-checker's results for Files.
 	Info *types.Info
-	// EventTypes is the set of struct types whose declaration doc comment
-	// carries a "lint:event" marker, across every package loaded in this
-	// run. Keys are the defining *types.TypeName objects.
-	EventTypes map[types.Object]bool
 	// Facts is the module-wide interprocedural index (call graph, marker
 	// annotations, per-function summaries) shared by every analyzer in the
 	// run. Never nil: RunAnalyzers builds a single-package index when the
@@ -167,21 +163,20 @@ func (a allowedLines) allows(pos token.Position, analyzer string) bool {
 // annotation without a parenthesized non-empty reason is reported as a
 // diagnostic of the synthetic analyzer "suppression". facts may be nil, in
 // which case a single-package index is built for the Pass.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer, eventTypes map[types.Object]bool, facts *Facts) ([]Diagnostic, error) {
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer, facts *Facts) ([]Diagnostic, error) {
 	if facts == nil {
 		facts = BuildFacts([]*Package{pkg})
 	}
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:   a,
-			Fset:       pkg.Fset,
-			Files:      pkg.Files,
-			Pkg:        pkg.Types,
-			Info:       pkg.Info,
-			EventTypes: eventTypes,
-			Facts:      facts,
-			diags:      &diags,
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+			Facts:    facts,
+			diags:    &diags,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
@@ -214,39 +209,4 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, eventTypes map[types.Obje
 		return kept[i].Analyzer < kept[j].Analyzer
 	})
 	return kept, nil
-}
-
-// MarkedEventTypes scans pkgs for struct type declarations whose doc
-// comment contains the "lint:event" marker and returns their defining
-// objects. The obszerocost analyzer treats construction of these types as
-// observer-event construction that must be nil-guarded.
-func MarkedEventTypes(pkgs []*Package) map[types.Object]bool {
-	marked := map[types.Object]bool{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					doc := ts.Doc
-					if doc == nil {
-						doc = gd.Doc
-					}
-					if doc == nil || !strings.Contains(doc.Text(), "lint:event") {
-						continue
-					}
-					if obj := pkg.Types.Scope().Lookup(ts.Name.Name); obj != nil {
-						marked[obj] = true
-					}
-				}
-			}
-		}
-	}
-	return marked
 }

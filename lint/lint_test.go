@@ -114,7 +114,7 @@ func suppressed() {}
 func alsoKept() {}
 `
 	pkg := parsePkg(t, src)
-	diags, err := RunAnalyzers(pkg, []*Analyzer{funcFlagger}, nil, nil)
+	diags, err := RunAnalyzers(pkg, []*Analyzer{funcFlagger}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMatchPattern(t *testing.T) {
 		{"soda/obs", root, false},
 	}
 	for _, tc := range cases {
-		if got := matchPattern(pkg, tc.pat, "soda", tc.cwd, root); got != tc.want {
+		if got := matchPattern(pkg, tc.pat, tc.cwd); got != tc.want {
 			t.Errorf("matchPattern(%q, cwd=%q) = %v, want %v", tc.pat, tc.cwd, got, tc.want)
 		}
 	}
@@ -182,25 +182,31 @@ func TestFindModuleRoot(t *testing.T) {
 	}
 }
 
+// TestMarkedEventTypes: an observer event opts into obszerocost with the
+// same //lint: directive syntax as every other marker, read through Facts;
+// the prose form "// lint:event" is not a marker.
 func TestMarkedEventTypes(t *testing.T) {
 	src := `package a
 
 // Ev is an observer event.
 //
-// lint:event — construct only under a nil-consumer guard.
+//lint:event
 type Ev struct{ N int }
+
+// Prose mentions lint:event but is not a directive.
+//
+// lint:event
+type Prose struct{ N int }
 
 // Plain is not marked.
 type Plain struct{ N int }
 `
 	pkg := parsePkg(t, src)
-	marked := MarkedEventTypes([]*Package{pkg})
-	if len(marked) != 1 {
-		t.Fatalf("marked %d types, want 1", len(marked))
-	}
-	for obj := range marked {
-		if obj.Name() != "Ev" {
-			t.Fatalf("marked %q, want Ev", obj.Name())
+	facts := BuildFacts([]*Package{pkg})
+	for name, want := range map[string]bool{"Ev": true, "Prose": false, "Plain": false} {
+		typ := pkg.Types.Scope().Lookup(name).Type()
+		if got := facts.TypeMarked(typ, "event"); got != want {
+			t.Errorf("TypeMarked(%s, event) = %v, want %v", name, got, want)
 		}
 	}
 }

@@ -34,7 +34,7 @@ var wantRe = regexp.MustCompile("// want (`([^`]*)`|\"([^\"]*)\")")
 func Run(t *testing.T, dir string, a *lint.Analyzer) {
 	t.Helper()
 	pkg := load(t, dir)
-	diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{a}, lint.MarkedEventTypes([]*lint.Package{pkg}), nil)
+	diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{a}, nil)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}

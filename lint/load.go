@@ -100,9 +100,6 @@ func NewLoader(root string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath reports the module's import path.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 // Import implements types.Importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.ImportFrom(path, l.root, 0)

@@ -6,9 +6,10 @@
 // registry, or fault checker behaves bit-identically to an uninstrumented
 // run — "with no Observer installed no event is built". That holds only if
 // every construction of an event struct is dominated by a nil check of its
-// consumer. Event types opt in by carrying a "lint:event" marker in their
-// declaration doc comment; a composite literal of a marked type must appear
-// in one of the guarded shapes:
+// consumer. Event types opt in with a //lint:event directive in their
+// declaration doc comment (read through lint.Facts like every other
+// marker); a composite literal of a marked type must appear in one of the
+// guarded shapes:
 //
 //   - inside the body of an if whose condition nil-checks a consumer
 //     (if n.cfg.Observer != nil { ... Event{...} ... })
@@ -45,7 +46,7 @@ func run(pass *lint.Pass) error {
 				return
 			}
 			named, ok := tv.Type.(*types.Named)
-			if !ok || !pass.EventTypes[named.Obj()] {
+			if !ok || !pass.Facts.TypeMarked(named, "event") {
 				return
 			}
 			if !guarded(pass, stack) {

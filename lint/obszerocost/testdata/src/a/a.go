@@ -3,7 +3,7 @@ package a
 
 // Event is a test observer event: construction must be nil-guarded.
 //
-// lint:event
+//lint:event
 type Event struct {
 	Kind int
 	Seq  uint8
