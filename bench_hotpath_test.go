@@ -5,8 +5,9 @@
 // full chaos sweep. They are the profiling entry points (-benchmem,
 // -cpuprofile); the numbers of record for the same three paths come from
 // benchmark/ (core.boot_*, rtt_small allocs_per_op, chaos_sweep), which is
-// re-derived on every PR. TestRequestRoundTripAllocBudget is the one
-// tier-1 check among them: it holds the round trip's allocation count.
+// re-derived on every PR. TestRequestRoundTripAllocBudget and
+// TestChaosRunAllocBudget are the tier-1 checks among them: they hold the
+// allocation counts of a round trip and of a checked chaos sweep.
 package soda_test
 
 import (
@@ -155,5 +156,43 @@ func TestRequestRoundTripAllocBudget(t *testing.T) {
 	t.Logf("%.2f allocs per round trip (budget %d)", perRound, roundTripAllocBudget)
 	if perRound > roundTripAllocBudget {
 		t.Fatalf("one REQUEST round trip allocates %.2f times, over the budget of %d", perRound, roundTripAllocBudget)
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// chaosRunAllocBudget is the allocation count of TestChaosRunAllocBudget's
+// sweep, eight checked and traced fileserver runs, as measured: 31 538 to
+// 31 539 (a GC that empties a sync.Pool costs a few refills).
+// Lower it when a change removes allocations; never raise it to make a
+// change fit.
+const chaosRunAllocBudget = 31540
+
+// TestChaosRunAllocBudget pins the allocations of one sweep.Run of the
+// fileserver scenario over one seed and eight fault plans with the
+// invariant checkers on: boot, plan generation, the frame log that feeds
+// the trace hash, and the checkers, which the round-trip budget does not
+// reach.
+func TestChaosRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts drift under the race detector")
+	}
+	spec := sweep.Spec{
+		Scenario:  "fileserver",
+		Seeds:     []int64{1},
+		PlanSeeds: []int64{0, 1, 2, 3, 4, 5, 6, 7},
+		Nodes:     []int{3},
+		Horizon:   2 * time.Second,
+		Checks:    true,
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := sweep.Run(spec, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per eight-run sweep (budget %d)", allocs, chaosRunAllocBudget)
+	if allocs > chaosRunAllocBudget {
+		t.Fatalf("the sweep allocates %.0f times, over the budget of %d", allocs, chaosRunAllocBudget)
 	}
 }

@@ -184,7 +184,7 @@ func (ch *Checker) Observe(ev core.ObsEvent) {
 // exactly the frames the fault model damaged.
 func (ch *Checker) ObserveDelivery(ev bus.DeliveryEvent) {
 	ch.frames++
-	_, err := frame.DecodeTransport(ev.Raw)
+	err := frame.CheckTransport(ev.Raw)
 	if ev.Corrupted {
 		ch.corrupted++
 		if err == nil {

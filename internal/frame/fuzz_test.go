@@ -234,8 +234,9 @@ func FuzzMessageRoundTrip(f *testing.F) {
 }
 
 // FuzzTransportRoundTrip: the transport codec must round-trip semantically,
-// report WireSize consistently, and the shared (zero-copy) decoder must be
-// observationally identical to the copying one on every input.
+// report WireSize consistently, the shared (zero-copy) decoder must be
+// observationally identical to the copying one on every input, and
+// CheckTransport must return the decoders' error.
 func FuzzTransportRoundTrip(f *testing.F) {
 	for _, raw := range capturedFrames(f) {
 		f.Add(raw)
@@ -268,6 +269,10 @@ func FuzzTransportRoundTrip(f *testing.F) {
 		shared, errShared := frame.DecodeTransportShared(b)
 		if (err == nil) != (errShared == nil) {
 			t.Fatalf("decoder disagreement: copy err=%v, shared err=%v", err, errShared)
+		}
+		if errCheck := frame.CheckTransport(b); (err == nil) != (errCheck == nil) ||
+			err != nil && err.Error() != errCheck.Error() {
+			t.Fatalf("CheckTransport disagrees with the decoder: decode err=%v, check err=%v", err, errCheck)
 		}
 		if err != nil {
 			return
@@ -407,5 +412,20 @@ func TestCapturedSackCorpusDecodes(t *testing.T) {
 	}
 	if retrans == 0 {
 		t.Fatal("no fragment retransmission captured at 30% loss")
+	}
+}
+
+// TestCheckTransportAllocatesNothing holds the checker's wire-sanity check
+// to zero allocations on every frame of the captured corpora.
+func TestCheckTransportAllocatesNothing(t *testing.T) {
+	var corpus [][]byte
+	corpus = append(corpus, capturedFrames(t)...)
+	corpus = append(corpus, capturedWindowFrames(t)...)
+	corpus = append(corpus, capturedSackFrames(t)...)
+	corpus = append(corpus, []byte{}, []byte{byte(frame.TransportData)})
+	for i, raw := range corpus {
+		if a := testing.AllocsPerRun(10, func() { _ = frame.CheckTransport(raw) }); a != 0 {
+			t.Fatalf("frame %d (% x): CheckTransport allocates %.1f times, want 0", i, raw, a)
+		}
 	}
 }

@@ -201,7 +201,15 @@ func AppendTransport(dst []byte, f *TransportFrame) []byte {
 // DecodeTransport parses a frame produced by EncodeTransport. The returned
 // frame's Payload is a fresh copy, independent of b.
 func DecodeTransport(b []byte) (*TransportFrame, error) {
-	return decodeTransport(b, false)
+	f, err := DecodeTransportShared(b)
+	if err != nil || f.Payload == nil {
+		return f, err
+	}
+	//lint:allow noalloc (cold: copying DecodeTransport only; the hot path uses DecodeTransportShared)
+	p := make([]byte, len(f.Payload))
+	copy(p, f.Payload)
+	f.Payload = p
+	return f, nil
 }
 
 // DecodeTransportShared is DecodeTransport without the payload copy: the
@@ -212,16 +220,31 @@ func DecodeTransport(b []byte) (*TransportFrame, error) {
 //
 //lint:hotpath
 func DecodeTransportShared(b []byte) (*TransportFrame, error) {
-	return decodeTransport(b, true)
+	//lint:allow noalloc (counted: one TransportFrame per decoded frame)
+	f := new(TransportFrame)
+	if err := decodeTransport(f, b); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
-func decodeTransport(b []byte, share bool) (*TransportFrame, error) {
+// CheckTransport reports the error DecodeTransport would return for b
+// without building a frame, for observers that judge the wire bytes but
+// keep nothing of them.
+//
+//lint:hotpath
+func CheckTransport(b []byte) error {
+	var f TransportFrame
+	return decodeTransport(&f, b)
+}
+
+// decodeTransport parses b into f, whose Payload aliases b.
+func decodeTransport(f *TransportFrame, b []byte) error {
 	if len(b) < transportHeaderSize {
-		return nil, ErrShortFrame
+		return ErrShortFrame
 	}
 	flags := b[6]
-	//lint:allow noalloc (counted: one TransportFrame per decoded frame)
-	f := &TransportFrame{
+	*f = TransportFrame{
 		Kind:       TransportKind(b[0]),
 		Src:        MID(binary.BigEndian.Uint16(b[1:3])),
 		Dst:        MID(binary.BigEndian.Uint16(b[3:5])),
@@ -236,13 +259,13 @@ func decodeTransport(b []byte, share bool) (*TransportFrame, error) {
 		TransportFrag, TransportFragAck:
 	default:
 		//lint:allow noalloc (cold: malformed-frame error path)
-		return nil, fmt.Errorf("%w: transport kind %d", ErrUnknownKind, b[0])
+		return fmt.Errorf("%w: transport kind %d", ErrUnknownKind, b[0])
 	}
 	hdr := transportHeaderSize
 	if f.Kind == TransportFrag {
 		hdr += fragExtSize
 		if len(b) < hdr {
-			return nil, ErrShortFrame
+			return ErrShortFrame
 		}
 		f.FragEnd = flags&flagFragEnd != 0
 		f.Urgent = flags&flagUrgent != 0
@@ -255,30 +278,24 @@ func decodeTransport(b []byte, share bool) (*TransportFrame, error) {
 		// cumulative ack with the flag clear).
 		if f.Kind != TransportFragAck {
 			//lint:allow noalloc (cold: malformed-frame error path)
-			return nil, fmt.Errorf("%w: sack flag on %s frame", ErrUnknownKind, f.Kind)
+			return fmt.Errorf("%w: sack flag on %s frame", ErrUnknownKind, f.Kind)
 		}
 		if len(b) < hdr+sackExtSize {
-			return nil, ErrShortFrame
+			return ErrShortFrame
 		}
 		f.SackBits = binary.BigEndian.Uint64(b[hdr : hdr+sackExtSize])
 		if f.SackBits == 0 {
 			//lint:allow noalloc (cold: malformed-frame error path)
-			return nil, fmt.Errorf("%w: sack flag with empty bitmap", ErrUnknownKind)
+			return fmt.Errorf("%w: sack flag with empty bitmap", ErrUnknownKind)
 		}
 		hdr += sackExtSize
 	}
 	n := binary.BigEndian.Uint32(b[9:13])
 	if uint32(len(b)-hdr) != n {
-		return nil, ErrShortFrame
+		return ErrShortFrame
 	}
 	if n > 0 {
-		if share {
-			f.Payload = b[hdr : hdr+int(n) : hdr+int(n)]
-		} else {
-			//lint:allow noalloc (cold: copying DecodeTransport only; the hot path uses DecodeTransportShared)
-			f.Payload = make([]byte, n)
-			copy(f.Payload, b[hdr:])
-		}
+		f.Payload = b[hdr : hdr+int(n) : hdr+int(n)]
 	}
-	return f, nil
+	return nil
 }

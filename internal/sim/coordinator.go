@@ -199,8 +199,9 @@ func (k *Kernel) pushLocal(t Time, fn func(), proc *Proc, rec *execRec) {
 
 // runWindow executes this shard's events strictly below end, publishing the
 // gate frontier before each one and logging execution order for the
-// barrier merge. It mirrors RunUntil's event dispatch exactly (including
-// the cooperative process handshake).
+// barrier merge. It mirrors RunUntil's event dispatch, except that every
+// process resume is a round trip: the process hands control back here
+// when it yields, so the window's bookkeeping stays on this goroutine.
 func (k *Kernel) runWindow(end Time) {
 	ps := k.par
 	c := ps.c

@@ -4,9 +4,20 @@
 // package: the broadcast bus charges transmission time, the Delta-t protocol
 // arms retransmission and connection timers, and client programs execute as
 // cooperative processes. Determinism is achieved by running exactly one
-// process at a time (control is handed between the scheduler goroutine and
-// process goroutines over unbuffered channels) and by breaking event-time
-// ties with a monotonically increasing sequence number.
+// process at a time and by breaking event-time ties with a monotonically
+// increasing sequence number.
+//
+// Control is a baton. The event loop runs on whichever goroutine holds it:
+// the RunUntil caller, or a process goroutine that has just yielded. Event
+// callbacks run inline on the holder; resuming the process that is already
+// running costs nothing, and resuming another is one send on an unbuffered
+// channel, after which the sender waits to be resumed itself. When the run
+// ends, the holder hands control back to the RunUntil caller. A callback
+// that panics on a process goroutine ends the run, and RunUntil re-raises
+// the panic on the caller's goroutine; the process's own deferred calls
+// never see it. Shards of a parallel Coordinator keep a round trip instead:
+// every resume goes out from the shard's scheduling goroutine and comes
+// back to it.
 //
 // Process goroutines are pooled: a finished process parks its goroutine,
 // resume channel and grown stack for the next Spawn to reuse, so a handler
@@ -77,15 +88,27 @@ func (h *eventHeap) Pop() any {
 // interaction must happen either before Run, or from within event callbacks
 // and processes (which the Kernel serializes).
 type Kernel struct {
-	now     Time
-	seq     uint64
-	events  eventQueue
-	yield   chan struct{} // processes signal "I have yielded control"
+	now    Time
+	seq    uint64
+	events eventQueue
+	// yield hands control back to the goroutine waiting for it: the
+	// RunUntil caller when a run ends on a process goroutine, the
+	// coordinator shard's scheduling goroutine when its process yields,
+	// and Close when a process has unwound.
+	yield   chan struct{}
 	rng     *rand.Rand
 	current *Proc
 	stopped bool
 	closing bool   // set by Close: resumed processes unwind instead of running on
 	limit   uint64 // safety valve on total events processed; 0 = unlimited
+	// The state of the run in progress, kept here rather than in RunUntil's
+	// frame because the loop runs on whichever goroutine holds control:
+	// its deadline, its event count, its result, and a callback panic
+	// caught on a process goroutine for RunUntil to re-raise.
+	deadline  Time
+	processed uint64
+	runErr    error
+	panicVal  any // never nil for a real panic since go 1.21
 	// free recycles event structs: every Hold, timer and delivery allocates
 	// one, so the scheduler's steady-state allocation rate would otherwise
 	// scale with event throughput. The freelist is bounded by the peak
@@ -175,6 +198,7 @@ func (k *Kernel) newEvent() *event {
 // the retained fn closure and proc become collectable immediately.
 func (k *Kernel) recycle(ev *event) {
 	*ev = event{}
+	//lint:allow noalloc (amortized: the freelist grows to the peak number of pending events)
 	k.free = append(k.free, ev)
 }
 
@@ -257,49 +281,103 @@ func (k *Kernel) RunUntil(deadline Time) error {
 	if k.par != nil {
 		panic("sim: RunUntil on a coordinator-managed kernel; drive the Coordinator instead")
 	}
-	err := k.runUntil(deadline)
+	k.deadline, k.processed, k.runErr = deadline, 0, nil
+	if !k.loop(nil) {
+		<-k.yield // the run ended on a process goroutine
+		if v := k.panicVal; v != nil {
+			k.panicVal = nil
+			panic(v)
+		}
+	}
+	err := k.runErr
+	k.runErr = nil
 	k.releaseIdle()
 	return err
 }
 
-func (k *Kernel) runUntil(deadline Time) error {
-	var processed uint64
-	for k.events.len() > 0 && !k.stopped {
-		if deadline >= 0 {
-			if next, ok := k.events.peekTime(); ok && next > deadline {
-				k.now = deadline
-				return nil
+// loop runs the event loop on the calling goroutine, which holds control,
+// until control leaves it. self is the resume channel of the calling
+// process goroutine, nil on the RunUntil caller. loop reports whether
+// control is still here when it returns: on a process goroutine, the next
+// event resumes that goroutine's own process; on the caller, the run is
+// over. Otherwise control has passed to another process goroutine, or from
+// a process goroutine back to the caller, and the calling goroutine must
+// wait on self (the caller on k.yield).
+//
+// A panic in a callback run on a process goroutine is caught here, before
+// any deferred call of that process can recover it, and handed to the
+// caller with control.
+func (k *Kernel) loop(self chan struct{}) (here bool) {
+	if self != nil {
+		//lint:allow noalloc (unproven: the deferred closure does not escape, so the compiler keeps it on the stack; TestRequestRoundTripAllocBudget measures it)
+		defer func() {
+			if v := recover(); v != nil {
+				k.panicVal = v
+				k.yield <- struct{}{}
+				here = false
 			}
+		}()
+	}
+	k.current = nil
+	for {
+		ev := k.next()
+		if ev == nil {
+			if self == nil {
+				return true
+			}
+			k.yield <- struct{}{}
+			return false
 		}
-		ev := k.events.pop()
-		k.now = ev.t
-		processed++
-		if k.limit > 0 && processed > k.limit {
-			return fmt.Errorf("sim: event limit %d exceeded at t=%v", k.limit, k.now)
-		}
-		switch {
-		case ev.proc != nil:
-			if ev.proc.finished {
-				k.recycle(ev)
+		if proc := ev.proc; proc != nil {
+			k.recycle(ev) // the resumed process may schedule new events
+			if proc.finished {
 				continue // process died before its wakeup fired
 			}
-			proc := ev.proc
-			k.recycle(ev) // the resumed process may schedule new events
 			k.current = proc
+			if proc.resume == self {
+				return true
+			}
 			proc.resume <- struct{}{}
-			<-k.yield
-			k.current = nil
-		default:
-			fn := ev.fn
-			k.recycle(ev) // fn may schedule new events
-			fn()
+			return false
+		}
+		fn := ev.fn
+		k.recycle(ev) // fn may schedule new events
+		//lint:allow noalloc (indirect: event callbacks; hot-path callbacks are scanned at their scheduling sites)
+		fn()
+	}
+}
+
+// next pops the run's next event and advances the clock to it. It returns
+// nil when the run is over, with the run's result in k.runErr.
+func (k *Kernel) next() *event {
+	if k.events.len() == 0 || k.stopped {
+		k.runErr = k.settle()
+		return nil
+	}
+	if k.deadline >= 0 {
+		if t, ok := k.events.peekTime(); ok && t > k.deadline {
+			k.now = k.deadline
+			return nil
 		}
 	}
-	if deadline >= 0 {
+	ev := k.events.pop()
+	k.now = ev.t
+	k.processed++
+	if k.limit > 0 && k.processed > k.limit {
+		//lint:allow noalloc (cold: the event limit ends the run)
+		k.runErr = fmt.Errorf("sim: event limit %d exceeded at t=%v", k.limit, k.now)
+		return nil
+	}
+	return ev
+}
+
+// settle is the result of a run whose events ran out or that was stopped.
+func (k *Kernel) settle() error {
+	if k.deadline >= 0 {
 		// Bounded runs treat idle (e.g. server processes parked waiting
 		// for requests that never come) as normal completion.
-		if !k.stopped && k.now < deadline {
-			k.now = deadline
+		if !k.stopped && k.now < k.deadline {
+			k.now = k.deadline
 		}
 		return nil
 	}
@@ -394,7 +472,7 @@ func (k *Kernel) takeWorker() *worker {
 
 // serve is a worker goroutine's loop: each value on resume starts the
 // process it was given, and a finished process parks the worker on the idle
-// list before handing control back. Closing resume (releaseIdle) ends it.
+// list before passing control on. Closing resume (releaseIdle) ends it.
 func (k *Kernel) serve(w *worker) {
 	defer func() {
 		if w.p != nil && k.closing {
@@ -405,16 +483,26 @@ func (k *Kernel) serve(w *worker) {
 		}
 	}()
 	for range w.resume {
-		if k.closing {
-			//lint:allow noalloc (cold: teardown of a process Close found spawned but not started)
-			runtime.Goexit()
+		for {
+			if k.closing {
+				//lint:allow noalloc (cold: teardown of a process Close found spawned but not started)
+				runtime.Goexit()
+			}
+			//lint:allow noalloc (indirect: the process body; hot-path bodies are scanned at their creation sites)
+			w.fn(w.p)
+			k.retire(w)
+			//lint:allow noalloc (amortized: the idle list grows to the peak number of concurrent processes)
+			k.idle = append(k.idle, w)
+			if k.par != nil {
+				k.yield <- struct{}{}
+				break
+			}
+			// Run on as the holder of control. If the loop starts a new
+			// process on this very worker, it runs it here.
+			if !k.loop(w.resume) {
+				break
+			}
 		}
-		//lint:allow noalloc (indirect: the process body; hot-path bodies are scanned at their creation sites)
-		w.fn(w.p)
-		k.retire(w)
-		//lint:allow noalloc (amortized: the idle list grows to the peak number of concurrent processes)
-		k.idle = append(k.idle, w)
-		k.yield <- struct{}{}
 	}
 }
 
@@ -500,7 +588,11 @@ func (p *Proc) yieldAndWait() {
 		//lint:allow noalloc (cold: teardown; Close is ending the run)
 		runtime.Goexit()
 	}
-	k.yield <- struct{}{}
+	if k.par != nil {
+		k.yield <- struct{}{} // a coordinator shard takes control back on every yield
+	} else if k.loop(p.resume) {
+		return // nothing else was due first: run on without a switch
+	}
 	<-p.resume
 	if k.closing {
 		//lint:allow noalloc (cold: teardown; Close resumes every live process into Goexit)

@@ -141,8 +141,10 @@ func (w *wheel) refill() bool {
 			start := base + Time(s)<<wheelShift(0)
 			w.cur = start
 			w.bucketEnd = start + Time(1)<<wheelShift(0)
+			//lint:allow noalloc (amortized: the bucket grows to the peak number of events in one level-0 slot)
 			w.bucket = append(w.bucket[:0], evs...)
 			w.giveBack(evs)
+			//lint:allow noalloc (external: container/heap.Init only swaps elements of the bucket)
 			heap.Init(&w.bucket)
 			return true
 		}
@@ -193,6 +195,7 @@ func (w *wheel) pop() *event {
 		return nil
 	}
 	w.size--
+	//lint:allow noalloc (external: container/heap.Pop only swaps elements, and a pointer boxed in any allocates nothing)
 	return heap.Pop(&w.bucket).(*event)
 }
 

@@ -209,7 +209,9 @@ func (t *Tracer) ObserveTransport(ev deltat.Event) {
 // requester) by decoding the delivered bytes. Corrupt or non-kernel frames
 // are ignored — the tracer observes, the checker judges.
 func (t *Tracer) ObserveDelivery(ev bus.DeliveryEvent) {
-	f, err := frame.DecodeTransport(ev.Raw)
+	// The tracer keeps nothing of the payload, and frame.Decode copies
+	// what it keeps, so the decode may alias the wire bytes.
+	f, err := frame.DecodeTransportShared(ev.Raw)
 	if err != nil {
 		return
 	}

@@ -43,7 +43,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"soda/faults"
 	"soda/internal/bus"
@@ -883,13 +885,7 @@ func (nw *Network) Trace(w io.Writer) {
 		}
 		return
 	}
-	line := func(prefix string, e bus.TapEvent) {
-		dst := fmt.Sprintf("%d", e.Dst)
-		if e.Dst == BroadcastMID {
-			dst = "broadcast"
-		}
-		fmt.Fprintf(w, "%s%12v  %3d -> %-9s %-6v %4dB\n", prefix, e.At, e.Src, dst, e.Kind, e.Size)
-	}
+	line := (&frameLog{w: w}).line
 	if nw.inet == nil {
 		nw.b.SetTap(func(e bus.TapEvent) { line("", e) })
 		return
@@ -905,6 +901,69 @@ func (nw *Network) Trace(w io.Writer) {
 		}
 		b.SetTap(func(e bus.TapEvent) { line(prefix, e) })
 	}
+}
+
+// frameLog writes Trace's lines. Each line is built in one reused buffer
+// and written with one Write; its bytes are those of the format
+// "%s%12v  %3d -> %-9s %-6v %4dB\n" applied to the segment prefix, time,
+// source, destination ("broadcast" or the MID), kind and size.
+type frameLog struct {
+	w   io.Writer
+	buf []byte
+}
+
+func (l *frameLog) line(prefix string, e bus.TapEvent) {
+	b := append(l.buf[:0], prefix...)
+	start := len(b)
+	b = alignRight(append(b, e.At.String()...), start, 12)
+	b = append(b, "  "...)
+	start = len(b)
+	b = alignRight(strconv.AppendUint(b, uint64(e.Src), 10), start, 3)
+	b = append(b, " -> "...)
+	start = len(b)
+	if e.Dst == BroadcastMID {
+		b = append(b, "broadcast"...)
+	} else {
+		b = strconv.AppendUint(b, uint64(e.Dst), 10)
+	}
+	b = alignLeft(b, start, 9)
+	b = append(b, ' ')
+	start = len(b)
+	b = alignLeft(append(b, e.Kind.String()...), start, 6)
+	b = append(b, ' ')
+	start = len(b)
+	b = alignRight(strconv.AppendInt(b, int64(e.Size), 10), start, 4)
+	b = append(b, "B\n"...)
+	l.buf = b
+	// The log is best-effort debugging output, as fmt.Fprintf's was.
+	_, _ = l.w.Write(b)
+}
+
+// alignRight pads the field b[start:] with leading spaces to width runes,
+// as fmt's %<width>v does.
+func alignRight(b []byte, start, width int) []byte {
+	pad := width - utf8.RuneCount(b[start:])
+	if pad <= 0 {
+		return b
+	}
+	end := len(b)
+	for i := 0; i < pad; i++ {
+		b = append(b, ' ')
+	}
+	copy(b[start+pad:], b[start:end])
+	for i := start; i < start+pad; i++ {
+		b[i] = ' '
+	}
+	return b
+}
+
+// alignLeft pads the field b[start:] with trailing spaces to width runes,
+// as fmt's %-<width>v does.
+func alignLeft(b []byte, start, width int) []byte {
+	for pad := width - utf8.RuneCount(b[start:]); pad > 0; pad-- {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // Stats returns the bus traffic counters; on a segmented network, the sum
