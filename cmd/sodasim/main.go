@@ -35,6 +35,9 @@
 //
 // The peer map is explicit and symmetric: each process lists every other
 // machine's MID and address (the transport does not learn return routes).
+// -frames prints the process's frame log here too, every frame it sends;
+// its timestamps are wall-clock time since the driver started, so unlike
+// a simulated run it differs from run to run.
 package main
 
 import (

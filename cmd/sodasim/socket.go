@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -61,6 +62,9 @@ func runSocket(scenario string, seed int64, d time.Duration) error {
 		soda.WithSocketTransport(ncfg.listen),
 		soda.WithSocketPeers(peers),
 	)
+	if traceAll {
+		nw.Trace(os.Stdout)
+	}
 	switch ncfg.role {
 	case "fs":
 		nw.Register("fs", fileserver.Server(map[string][]byte{

@@ -41,14 +41,14 @@ import (
 	"soda/internal/sortediter"
 )
 
-// Recorder accumulates one run's observer stream. Attach Observe via
-// Config.Observer; on a socket run use one Recorder per node's network so
+// Recorder accumulates one run's kernel events. Subscribe Observe to the
+// network's stream; on a socket run use one Recorder per node's network so
 // every append happens on that network's driver goroutine.
 type Recorder struct {
 	events []core.ObsEvent
 }
 
-// Observe appends one event (wire it as the node Config's Observer).
+// Observe appends one event (a Subscriber's Kernel callback).
 func (r *Recorder) Observe(ev core.ObsEvent) { r.events = append(r.events, ev) }
 
 // Events returns the recorded stream.

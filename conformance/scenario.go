@@ -94,9 +94,8 @@ func allDone(run *Run) bool {
 func RunSim(sc Scenario, seed int64) (*Transcript, error) {
 	run := sc.Build()
 	rec := &Recorder{}
-	cfg := soda.DefaultNodeConfig()
-	cfg.Observer = rec.Observe
-	nw := soda.NewNetwork(soda.WithSeed(seed), soda.WithNodeConfig(cfg))
+	nw := soda.NewNetwork(soda.WithSeed(seed))
+	nw.Subscribe(soda.Subscriber{Kernel: rec.Observe})
 	registerPrograms(nw, run)
 	for _, ns := range run.Nodes {
 		nw.MustAddNode(ns.MID)

@@ -38,12 +38,8 @@ func runSocket(t *testing.T, sc Scenario) (*Transcript, *Run) {
 	}
 	for _, ns := range run.Nodes {
 		rec := &Recorder{}
-		cfg := soda.DefaultNodeConfig()
-		cfg.Observer = rec.Observe
-		nw := soda.NewNetwork(
-			soda.WithSocketTransport("127.0.0.1:0"),
-			soda.WithNodeConfig(cfg),
-		)
+		nw := soda.NewNetwork(soda.WithSocketTransport("127.0.0.1:0"))
+		nw.Subscribe(soda.Subscriber{Kernel: rec.Observe})
 		registerPrograms(nw, run)
 		nw.MustAddNode(ns.MID)
 		nodes = append(nodes, &socketNode{spec: ns, rec: rec, nw: nw})

@@ -12,8 +12,8 @@ import (
 // maxViolations bounds the report; past it a run is broken enough.
 const maxViolations = 64
 
-// Checker is the always-on invariant layer: it consumes the kernels'
-// observer streams and the bus's delivery tap and records violations of
+// Checker is the always-on invariant layer: it consumes the kernel and
+// delivery events of a network's stream and records violations of
 // the reliability guarantees the paper claims hold under arbitrary loss,
 // crash, and recovery (§3.6, §5.2.2):
 //
@@ -79,8 +79,8 @@ func (ch *Checker) violate(format string, args ...any) {
 	ch.violations = append(ch.violations, fmt.Sprintf(format, args...))
 }
 
-// Observe consumes one kernel observer event. Wire it to every node via
-// core.Config.Observer (soda.WithInvariantChecks does this).
+// Observe consumes one kernel event (soda.WithInvariantChecks subscribes
+// it to the network's stream).
 func (ch *Checker) Observe(ev core.ObsEvent) {
 	switch ev.Kind {
 	case core.ObsIssue:

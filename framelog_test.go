@@ -22,6 +22,17 @@ func fmtFrameLine(prefix string, e bus.TapEvent) string {
 	return fmt.Sprintf("%s%12v  %3d -> %-9s %-6v %4dB\n", prefix, e.At, e.Src, dst, e.Kind, e.Size)
 }
 
+// onSegment returns e as heard on segment seg and the frame log that
+// prints it: a flat network's log for seg < 0, a segmented one's
+// otherwise, with the line prefix the oracle expects.
+func onSegment(w io.Writer, seg int, e bus.TapEvent) (*frameLog, bus.TapEvent, string) {
+	if seg < 0 {
+		return &frameLog{w: w}, e, ""
+	}
+	e.Seg = seg
+	return &frameLog{w: w, segmented: true}, e, fmt.Sprintf("s%d ", seg)
+}
+
 // writeLog records each Write as one entry.
 type writeLog [][]byte
 
@@ -38,30 +49,31 @@ func TestFrameLogMatchesFormat(t *testing.T) {
 		return e
 	}
 	cases := []struct {
-		name, prefix string
-		e            bus.TapEvent
+		name string
+		seg  int // -1: a flat network
+		e    bus.TapEvent
 	}{
-		{"data", "", data},
-		{"broadcast", "", with(func(e *bus.TapEvent) { e.Dst, e.Kind = BroadcastMID, frame.TransportDatagram })},
-		{"wide MIDs", "", with(func(e *bus.TapEvent) { e.Src, e.Dst = 1000, 65534 })},
-		{"wide size", "", with(func(e *bus.TapEvent) { e.Size = 10000 })},
-		{"zero size", "", with(func(e *bus.TapEvent) { e.Size = 0 })},
-		{"unknown kind", "", with(func(e *bus.TapEvent) { e.Kind = 9 })},
-		{"long kind", "", with(func(e *bus.TapEvent) { e.Kind = frame.TransportFragAck })},
-		{"time zero", "", with(func(e *bus.TapEvent) { e.At = 0 })},
-		{"sub-microsecond", "", with(func(e *bus.TapEvent) { e.At = 750 })},
-		{"microseconds", "", with(func(e *bus.TapEvent) { e.At = 12 * time.Microsecond })},
-		{"milliseconds", "", with(func(e *bus.TapEvent) { e.At = 12345678 })},
-		{"hours", "", with(func(e *bus.TapEvent) { e.At = 1234*time.Hour + 5*time.Minute + 6*time.Second + 7 })},
-		{"segment prefix", "s3 ", data},
-		{"two-digit segment", "s12 ", with(func(e *bus.TapEvent) { e.Dst = BroadcastMID })},
+		{"data", -1, data},
+		{"broadcast", -1, with(func(e *bus.TapEvent) { e.Dst, e.Kind = BroadcastMID, frame.TransportDatagram })},
+		{"wide MIDs", -1, with(func(e *bus.TapEvent) { e.Src, e.Dst = 1000, 65534 })},
+		{"wide size", -1, with(func(e *bus.TapEvent) { e.Size = 10000 })},
+		{"zero size", -1, with(func(e *bus.TapEvent) { e.Size = 0 })},
+		{"unknown kind", -1, with(func(e *bus.TapEvent) { e.Kind = 9 })},
+		{"long kind", -1, with(func(e *bus.TapEvent) { e.Kind = frame.TransportFragAck })},
+		{"time zero", -1, with(func(e *bus.TapEvent) { e.At = 0 })},
+		{"sub-microsecond", -1, with(func(e *bus.TapEvent) { e.At = 750 })},
+		{"microseconds", -1, with(func(e *bus.TapEvent) { e.At = 12 * time.Microsecond })},
+		{"milliseconds", -1, with(func(e *bus.TapEvent) { e.At = 12345678 })},
+		{"hours", -1, with(func(e *bus.TapEvent) { e.At = 1234*time.Hour + 5*time.Minute + 6*time.Second + 7 })},
+		{"segment prefix", 3, data},
+		{"two-digit segment", 12, with(func(e *bus.TapEvent) { e.Dst = BroadcastMID })},
 	}
 	var w writeLog
-	l := &frameLog{w: &w}
 	for _, c := range cases {
 		w = w[:0]
-		l.line(c.prefix, c.e)
-		want := fmtFrameLine(c.prefix, c.e)
+		l, e, prefix := onSegment(&w, c.seg, c.e)
+		l.line(e)
+		want := fmtFrameLine(prefix, e)
 		if len(w) != 1 {
 			t.Errorf("%s: %d writes, want 1", c.name, len(w))
 			continue
@@ -79,7 +91,6 @@ func TestFrameLogMatchesFormatProperty(t *testing.T) {
 		frame.TransportFrag, frame.TransportFragAck, 0, 200,
 	}
 	var buf bytes.Buffer
-	l := &frameLog{w: &buf}
 	for i := 0; i < 2000; i++ {
 		e := bus.TapEvent{
 			At:   time.Duration(rng.Int63n(1 << uint(1+rng.Intn(52)))),
@@ -88,12 +99,13 @@ func TestFrameLogMatchesFormatProperty(t *testing.T) {
 			Kind: kinds[rng.Intn(len(kinds))],
 			Size: rng.Intn(1 << uint(1+rng.Intn(20))),
 		}
-		prefix := ""
+		seg := -1
 		if rng.Intn(2) == 0 {
-			prefix = fmt.Sprintf("s%d ", rng.Intn(20))
+			seg = rng.Intn(20)
 		}
+		l, e, prefix := onSegment(&buf, seg, e)
 		buf.Reset()
-		l.line(prefix, e)
+		l.line(e)
 		if got, want := buf.String(), fmtFrameLine(prefix, e); got != want {
 			t.Fatalf("%+v, prefix %q:\n got %q\nwant %q", e, prefix, got, want)
 		}
@@ -101,15 +113,15 @@ func TestFrameLogMatchesFormatProperty(t *testing.T) {
 }
 
 func TestFrameLogAllocatesNothing(t *testing.T) {
-	l := &frameLog{w: io.Discard}
+	l := &frameLog{w: io.Discard, segmented: true}
 	events := []bus.TapEvent{
-		{At: 1500 * time.Microsecond, Src: 1, Dst: 2, Kind: frame.TransportData, Size: 42},
-		{At: 3 * time.Hour, Src: 1000, Dst: BroadcastMID, Kind: frame.TransportDatagram, Size: 12345},
-		{At: 750, Src: 7, Dst: 65000, Kind: frame.TransportFragAck, Size: 0},
+		{At: 1500 * time.Microsecond, Src: 1, Dst: 2, Kind: frame.TransportData, Size: 42, Seg: 1},
+		{At: 3 * time.Hour, Src: 1000, Dst: BroadcastMID, Kind: frame.TransportDatagram, Size: 12345, Seg: 1},
+		{At: 750, Src: 7, Dst: 65000, Kind: frame.TransportFragAck, Size: 0, Seg: 12},
 	}
 	for _, e := range events {
-		l.line("s1 ", e) // grow the reused buffer first
-		if a := testing.AllocsPerRun(100, func() { l.line("s1 ", e) }); a != 0 {
+		l.line(e) // grow the reused buffer first
+		if a := testing.AllocsPerRun(100, func() { l.line(e) }); a != 0 {
 			t.Errorf("%+v: %.1f allocations per logged frame, want 0", e, a)
 		}
 	}

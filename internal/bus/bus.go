@@ -166,11 +166,11 @@ type FaultModel interface {
 	Judge(now sim.Time, src, dst frame.MID, raw []byte) FaultAction
 }
 
-// DeliveryEvent describes one successful per-receiver delivery, for
-// invariant checkers observing the wire. Raw is the delivered bytes —
-// shared with the sender and every other clean receiver of the same
-// transmission, so observers must not mutate it — and Corrupted reports
-// whether the fault model damaged the frame in transit.
+// DeliveryEvent describes one successful per-receiver delivery, emitted
+// before the receiver runs. Raw is the delivered bytes — shared with the
+// sender and every other clean receiver of the same transmission, so
+// observers must not mutate it — and Corrupted reports whether the fault
+// model damaged the frame in transit.
 //
 // Construct it only under a nil-consumer guard (sodavet obszerocost).
 //
@@ -183,7 +183,8 @@ type DeliveryEvent struct {
 	Corrupted bool
 }
 
-// TapEvent describes one transmission, for tracing.
+// TapEvent describes one transmission, emitted when the sender hands the
+// frame to the medium.
 //
 // Construct it only under a nil-consumer guard (sodavet obszerocost).
 //
@@ -194,6 +195,19 @@ type TapEvent struct {
 	Dst  frame.MID
 	Kind frame.TransportKind
 	Size int
+	// Seg is the bus segment that carried the frame (Hooks.Seg).
+	Seg int
+}
+
+// Hooks are a medium's one emit hook per wire event kind. The network's
+// event stream installs them, leaving nil every kind nobody subscribed
+// to, so the medium builds no event of that kind.
+type Hooks struct {
+	Transmit func(TapEvent)
+	Delivery func(DeliveryEvent)
+	// Seg numbers the bus within its internetwork (0 on a single bus);
+	// the bus stamps it on its transmit events.
+	Seg int
 }
 
 // Bus is the shared medium. It is driven entirely from simulation context.
@@ -203,9 +217,8 @@ type Bus struct {
 	ifaces    map[frame.MID]*Iface
 	busyUntil sim.Time
 	stats     Stats
-	tap       func(TapEvent)
+	hooks     Hooks
 	fault     FaultModel
-	dtaps     []func(DeliveryEvent)
 	// bridges are the interfaces attached via AttachBridge, kept in MID
 	// order so the delivery fan-out of unrouted unicasts is deterministic.
 	bridges []*Iface
@@ -231,8 +244,8 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 	}
 }
 
-// SetTap installs a per-transmission observer (nil disables).
-func (b *Bus) SetTap(tap func(TapEvent)) { b.tap = tap }
+// SetHooks installs the bus's event hooks (the zero Hooks disables them).
+func (b *Bus) SetHooks(h Hooks) { b.hooks = h }
 
 // SetFaultModel installs the fault model consulted for every delivery (nil
 // disables). The model is layered over Config.LossProb: uniform loss is
@@ -242,13 +255,6 @@ func (b *Bus) SetFaultModel(m FaultModel) {
 	if m != nil && b.linkFloor == nil {
 		b.linkFloor = make(map[linkKey]sim.Time)
 	}
-}
-
-// AddDeliveryTap registers an observer invoked for every per-receiver
-// delivery, after the frame is handed to the interface. Taps cannot be
-// removed; they are for run-scoped invariant checkers.
-func (b *Bus) AddDeliveryTap(tap func(DeliveryEvent)) {
-	b.dtaps = append(b.dtaps, tap)
 }
 
 // Stats returns a copy of the counters.
@@ -439,9 +445,9 @@ func (i *Iface) Send(dst frame.MID, raw []byte) {
 		kind = frame.TransportKind(raw[0])
 		b.stats.ByKind[kind]++
 	}
-	if b.tap != nil {
-		//lint:allow noalloc (observer: nil-guarded transmission tap, absent on measured runs)
-		b.tap(TapEvent{At: b.k.Now(), Src: i.mid, Dst: dst, Kind: kind, Size: len(raw)})
+	if b.hooks.Transmit != nil {
+		//lint:allow noalloc (observer: nil-guarded transmit emit, absent on measured runs)
+		b.hooks.Transmit(TapEvent{At: b.k.Now(), Src: i.mid, Dst: dst, Kind: kind, Size: len(raw), Seg: b.hooks.Seg})
 	}
 
 	deliverAt := end + b.cfg.PropDelay
@@ -485,7 +491,7 @@ func (b *Bus) scheduleDelivery(src frame.MID, target *Iface, raw []byte, at sim.
 		b.stats.FramesLost++
 		return
 	}
-	// Receivers, taps and the decoder all treat delivered bytes as
+	// Receivers, subscribers and the decoder all treat delivered bytes as
 	// read-only, so every clean delivery can share the sender's buffer;
 	// only corruption needs a private copy to damage (other receivers of
 	// the same broadcast must still see the frame intact).
@@ -535,15 +541,15 @@ func (b *Bus) deliver(src frame.MID, target *Iface, buf []byte, at sim.Time, cor
 		}
 		if corrupted && target.bridge {
 			// A gateway checksums on receive and never forwards damage;
-			// dropping before the taps keeps the checker's view honest
-			// (the relayed copy would otherwise arrive marked clean).
+			// dropping before the delivery emit keeps the checker's view
+			// honest (the relayed copy would otherwise arrive marked clean).
 			b.stats.BridgeCorruptDrops++
 			return
 		}
 		b.stats.FramesDelivered++
-		for _, tap := range b.dtaps {
-			//lint:allow noalloc (observer: delivery taps are run-scoped checkers, absent on measured runs)
-			tap(DeliveryEvent{At: b.k.Now(), Src: src, Dst: target.mid, Raw: buf, Corrupted: corrupted})
+		if b.hooks.Delivery != nil {
+			//lint:allow noalloc (observer: nil-guarded delivery emit, absent on measured runs)
+			b.hooks.Delivery(DeliveryEvent{At: b.k.Now(), Src: src, Dst: target.mid, Raw: buf, Corrupted: corrupted})
 		}
 		//lint:allow noalloc (indirect: recv is the transport's receive, itself a //lint:hotpath root)
 		target.recv(buf)

@@ -206,7 +206,7 @@ func TestTapObservesTransmissions(t *testing.T) {
 	}
 	i1, _ := b.Attach(1, func([]byte) {})
 	var evs []TapEvent
-	b.SetTap(func(e TapEvent) { evs = append(evs, e) })
+	b.SetHooks(Hooks{Transmit: func(e TapEvent) { evs = append(evs, e) }})
 	i1.Send(2, testFrame(frame.TransportNack, 12))
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -370,7 +370,7 @@ func TestDeliveryTapSeesDeliveries(t *testing.T) {
 		return FaultAction{Corrupt: corrupt}
 	}))
 	var evs []DeliveryEvent
-	b.AddDeliveryTap(func(e DeliveryEvent) { evs = append(evs, e) })
+	b.SetHooks(Hooks{Delivery: func(e DeliveryEvent) { evs = append(evs, e) }})
 	i1.Send(2, wireFrame([]byte("ok")))
 	corrupt = true
 	i1.Send(2, wireFrame([]byte("damaged")))

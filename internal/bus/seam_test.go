@@ -136,7 +136,7 @@ func TestBridgeDropsCorruptedFrame(t *testing.T) {
 		return FaultAction{Corrupt: true}
 	}))
 	taps := 0
-	b.AddDeliveryTap(func(DeliveryEvent) { taps++ })
+	b.SetHooks(Hooks{Delivery: func(DeliveryEvent) { taps++ }})
 	bridgeHeard, plainHeard := 0, 0
 	if _, err := b.AttachBridge(0xFE00, func([]byte) { bridgeHeard++ }); err != nil {
 		t.Fatal(err)

@@ -147,9 +147,9 @@ type Config struct {
 	// that many bytes. The client's OPEN/CLOSE state gates the kernel
 	// handler, providing the section's synchronization.
 	KernelRMRSize int
-	// Observer, when non-nil, receives the node's protocol event stream
-	// (see ObsEvent). Used by the fault layer's invariant checkers; it
-	// must never influence kernel behavior.
+	// Observer, when non-nil, receives the node's kernel events (see
+	// ObsEvent). The network's event stream installs it at AddNode, nil
+	// when nobody subscribed; it must never influence kernel behavior.
 	Observer func(ObsEvent)
 	// Costs are the client-processor overheads.
 	Costs Costs

@@ -276,9 +276,9 @@ type Config struct {
 	// MaxWindowMessages.
 	Window int
 	Costs  Costs
-	// Observer, when non-nil, receives the endpoint's protocol event
-	// stream (see Event). It must never influence protocol behavior; the
-	// soda facade fans one observer out to every node.
+	// Observer, when non-nil, receives the endpoint's protocol events
+	// (see Event). It must never influence protocol behavior; the soda
+	// network's event stream installs it on every node's endpoint.
 	Observer func(Event)
 }
 

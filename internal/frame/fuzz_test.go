@@ -28,9 +28,9 @@ func capturedFrames(tb testing.TB) [][]byte {
 	b := bus.New(k, cfg)
 
 	var raws [][]byte
-	b.AddDeliveryTap(func(e bus.DeliveryEvent) {
+	b.SetHooks(bus.Hooks{Delivery: func(e bus.DeliveryEvent) {
 		raws = append(raws, append([]byte(nil), e.Raw...))
-	})
+	}})
 
 	reply := frame.Encode(&frame.Accept{TID: 7, Arg: -1, GetSize: 64, Data: []byte("pong")})
 	mk := func(mid frame.MID, hooks deltat.Hooks) *deltat.Endpoint {
@@ -78,9 +78,9 @@ func capturedWindowFrames(tb testing.TB) [][]byte {
 	b := bus.New(k, cfg)
 
 	var raws [][]byte
-	b.AddDeliveryTap(func(e bus.DeliveryEvent) {
+	b.SetHooks(bus.Hooks{Delivery: func(e bus.DeliveryEvent) {
 		raws = append(raws, append([]byte(nil), e.Raw...))
-	})
+	}})
 
 	dcfg := deltat.DefaultConfig()
 	dcfg.Window = 4
@@ -132,9 +132,9 @@ func capturedSackFrames(tb testing.TB) [][]byte {
 	b := bus.New(k, cfg)
 
 	var raws [][]byte
-	b.AddDeliveryTap(func(e bus.DeliveryEvent) {
+	b.SetHooks(bus.Hooks{Delivery: func(e bus.DeliveryEvent) {
 		raws = append(raws, append([]byte(nil), e.Raw...))
-	})
+	}})
 
 	dcfg := deltat.DefaultConfig()
 	dcfg.Window = 8

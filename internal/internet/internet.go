@@ -11,7 +11,7 @@
 // header pad byte so routing loops die at MaxHops. Broadcast frames flood
 // along a per-origin spanning tree, except DISCOVER queries for client
 // patterns: those are answered directly from a pattern directory kept
-// coherent by the kernel observer stream (advertise/unadvertise/crash/die
+// coherent by the kernel events (advertise/unadvertise/crash/die
 // events), so discovery cost scales with the number of matching servers
 // instead of the number of machines on the internetwork.
 //
@@ -86,17 +86,6 @@ func Star(segments int) Topology {
 	return t
 }
 
-// Line returns a chain topology: gateway i bridges segments i and i+1, so
-// the longest path crosses segments-1 gateways. Useful for exercising hop
-// counts.
-func Line(segments int) Topology {
-	t := Topology{Segments: segments}
-	for i := 0; i < segments-1; i++ {
-		t.Gateways = append(t.Gateways, GatewaySpec{Segments: []int{i, i + 1}})
-	}
-	return t
-}
-
 // Stats counts internetwork-level work. Like bus.Stats, every field
 // accumulates from the last ResetStats (or from creation).
 type Stats struct {
@@ -167,7 +156,7 @@ type Internet struct {
 	// in segment r is re-emitted onto s by that same designated gateway.
 	parent [][]hop
 	// directory is the authoritative pattern→holders map, fed by the
-	// kernel observer stream. holders sets are never iterated directly;
+	// kernel events. holders sets are never iterated directly;
 	// sortediter orders every walk.
 	directory map[frame.Pattern]map[frame.MID]struct{}
 	byNode    map[frame.MID]map[frame.Pattern]struct{}
@@ -417,7 +406,7 @@ func (in *Internet) RebootGateway(i int) {
 }
 
 // Observe feeds one kernel observer event into the pattern directory. The
-// caller (soda.Network) fans the per-node observer stream here; the
+// caller (soda.Network) subscribes it to the kernel events; the
 // directory models the advertise/crash bookkeeping a real gateway would
 // learn from its segment's broadcasts.
 func (in *Internet) Observe(ev core.ObsEvent) {

@@ -122,11 +122,17 @@ func TestUnicastForward(t *testing.T) {
 	}
 }
 
+// line3 is a chain of three segments: gateway i bridges segments i and
+// i+1, so a frame from segment 0 to segment 2 crosses two gateways.
+func line3() Topology {
+	return Topology{Segments: 3, Gateways: []GatewaySpec{{Segments: []int{0, 1}}, {Segments: []int{1, 2}}}}
+}
+
 // TestMultiHopLine sends across a 3-segment line: two gateway hops, then
 // the same route with MaxHops too small for the second hop (TTL drop).
 func TestMultiHopLine(t *testing.T) {
-	// Line(3): mid 3 lands on segment 0, mid 5 on segment 2.
-	n := newTestNet(t, Line(3), 3, 5)
+	// line3: mid 3 lands on segment 0, mid 5 on segment 2.
+	n := newTestNet(t, line3(), 3, 5)
 	n.send(3, 5, &frame.Discover{TID: 1, Pattern: frame.WellKnownPattern(7)})
 	n.run(time.Second)
 	if got := n.heard[5]; len(got) != 1 || got[0][offHop] != 2 {
@@ -136,7 +142,7 @@ func TestMultiHopLine(t *testing.T) {
 		t.Fatalf("FramesForwarded = %d, want 2", s.FramesForwarded)
 	}
 
-	topo := Line(3)
+	topo := line3()
 	topo.MaxHops = 2
 	n2 := newTestNet(t, topo, 3, 5)
 	n2.send(3, 5, &frame.Discover{TID: 1, Pattern: frame.WellKnownPattern(7)})

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"soda/internal/bus"
 	"soda/internal/deltat"
 	"soda/internal/frame"
 	"soda/internal/sim"
@@ -86,8 +87,8 @@ var captureCorpus = flag.Bool("capturecorpus", false,
 // corpusDir is where go test's fuzzing machinery picks up committed seeds.
 const corpusDir = "testdata/fuzz/FuzzStreamFramer"
 
-// TestCaptureFramerCorpus runs a real localhost exchange with a FrameTap
-// on both networks and checks every frame the wire actually carried
+// TestCaptureFramerCorpus runs a real localhost exchange with a delivery
+// hook on both networks and checks every frame the wire actually carried
 // round-trips through the stream framer. With -capturecorpus it also
 // rewrites the committed fuzz seed corpus from the captured frames, so
 // the fuzzer starts from genuine transport bytes rather than synthetic
@@ -98,19 +99,20 @@ func TestCaptureFramerCorpus(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var captured [][]byte
-	tap := func(raw []byte) {
+	capture := bus.Hooks{Delivery: func(e bus.DeliveryEvent) {
 		mu.Lock()
-		captured = append(captured, append([]byte(nil), raw...))
+		captured = append(captured, append([]byte(nil), e.Raw...))
 		mu.Unlock()
-	}
+	}}
 	mk := func(mid frame.MID, hooks deltat.Hooks) *node {
 		t.Helper()
 		k := sim.New(int64(mid))
 		k.SetEventLimit(2_000_000)
-		n, err := New(k, Config{Listen: "127.0.0.1:0", FrameTap: tap})
+		n, err := New(k, Config{Listen: "127.0.0.1:0"})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
+		n.SetHooks(capture)
 		if hooks.OnData == nil {
 			hooks.OnData = func(frame.MID, []byte) deltat.Decision {
 				return deltat.Decision{Verdict: deltat.VerdictAck}
@@ -148,7 +150,7 @@ func TestCaptureFramerCorpus(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(captured) == 0 {
-		t.Fatal("the tap saw no frames on a completed exchange")
+		t.Fatal("the delivery hook saw no frames on a completed exchange")
 	}
 	for i, raw := range captured {
 		enc := AppendFrame(nil, raw)

@@ -61,9 +61,6 @@ type Config struct {
 	// DrainTimeout bounds Close's wait for socket goroutines to exit
 	// before reporting a leak (default 2s).
 	DrainTimeout time.Duration
-	// FrameTap, when set, observes every raw frame handed to the kernel
-	// (test hook: the stream-framer fuzz corpus is captured here).
-	FrameTap func(raw []byte)
 }
 
 func (c *Config) fill() {
@@ -119,6 +116,10 @@ type Network struct {
 
 	statsMu sync.Mutex
 	stats   bus.Stats
+
+	// hooks emit the wire events, as on the simulated bus; set before
+	// Start and read only on the driver goroutine.
+	hooks bus.Hooks
 }
 
 // New opens the listen socket and starts the accept loop. The kernel must
@@ -152,6 +153,11 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	go n.acceptLoop()
 	return n, nil
 }
+
+// SetHooks installs the medium's event hooks (the zero Hooks disables
+// them), the bus's counterpart: one transmit event per send, one delivery
+// event per handoff to a local link. Call it before Start.
+func (n *Network) SetHooks(h bus.Hooks) { n.hooks = h }
 
 // Addr reports the bound listen address (resolving ":0").
 func (n *Network) Addr() string { return n.ln.Addr().String() }
@@ -306,12 +312,16 @@ func (n *Network) writeLoop(p *peer, c net.Conn) bool {
 // enqueue toward their peer address, unknown ones drop. Runs on the driver
 // goroutine (kernel context).
 func (n *Network) send(from *link, dst frame.MID, raw []byte) {
+	kind := kindOf(raw)
 	n.statsMu.Lock()
 	n.stats.FramesSent++
 	n.stats.BytesSent += uint64(len(raw))
-	n.stats.ByKind[kindOf(raw)]++
+	n.stats.ByKind[kind]++
 	n.statsMu.Unlock()
 	n.touch()
+	if n.hooks.Transmit != nil {
+		n.hooks.Transmit(bus.TapEvent{At: n.k.Now(), Src: from.mid, Dst: dst, Kind: kind, Size: len(raw)})
+	}
 	if dst == frame.BroadcastMID {
 		n.mu.Lock()
 		locals := make([]*link, 0, len(n.links))
@@ -327,7 +337,7 @@ func (n *Network) send(from *link, dst frame.MID, raw []byte) {
 		}
 		n.mu.Unlock()
 		for _, l := range locals {
-			n.loopback(l, raw)
+			n.loopback(from.mid, l, raw)
 		}
 		for _, p := range remotes {
 			n.enqueue(p, raw)
@@ -340,7 +350,7 @@ func (n *Network) send(from *link, dst frame.MID, raw []byte) {
 	n.mu.Unlock()
 	switch {
 	case l != nil:
-		n.loopback(l, raw)
+		n.loopback(from.mid, l, raw)
 	case p != nil:
 		n.enqueue(p, raw)
 	default:
@@ -350,17 +360,28 @@ func (n *Network) send(from *link, dst frame.MID, raw []byte) {
 
 // loopback delivers to a co-hosted link through the kernel, preserving the
 // bus's asynchrony (the receive path runs as its own kernel event).
-func (n *Network) loopback(l *link, raw []byte) {
-	n.k.At(n.k.Now(), func() {
-		if !l.up {
-			n.statsMu.Lock()
-			n.stats.FramesDroppedDown++
-			n.statsMu.Unlock()
-			return
-		}
-		n.countDelivered()
-		l.recv(raw)
-	})
+func (n *Network) loopback(src frame.MID, l *link, raw []byte) {
+	n.k.At(n.k.Now(), func() { n.handoff(src, l, raw) })
+}
+
+// handoff gives one frame from src to the local link l, in kernel
+// context: a down link drops it; otherwise it is counted and emitted
+// before l's receive runs, the bus's order.
+func (n *Network) handoff(src frame.MID, l *link, raw []byte) {
+	n.statsMu.Lock()
+	if l.up {
+		n.stats.FramesDelivered++
+	} else {
+		n.stats.FramesDroppedDown++
+	}
+	n.statsMu.Unlock()
+	if !l.up {
+		return
+	}
+	if n.hooks.Delivery != nil {
+		n.hooks.Delivery(bus.DeliveryEvent{At: n.k.Now(), Src: src, Dst: l.mid, Raw: raw})
+	}
+	l.recv(raw)
 }
 
 // enqueue hands a frame to the peer's writer, dropping when the queue is
@@ -379,12 +400,6 @@ func (n *Network) countLost(k uint64) {
 	n.statsMu.Unlock()
 }
 
-func (n *Network) countDelivered() {
-	n.statsMu.Lock()
-	n.stats.FramesDelivered++
-	n.statsMu.Unlock()
-}
-
 // kindOf reads the transport kind byte for ByKind attribution.
 func kindOf(raw []byte) frame.TransportKind {
 	if len(raw) == 0 {
@@ -393,13 +408,13 @@ func kindOf(raw []byte) frame.TransportKind {
 	return frame.TransportKind(raw[0])
 }
 
-// frameDst reads the destination MID from an encoded transport frame
-// (header bytes 3..4); false for runts.
-func frameDst(raw []byte) (frame.MID, bool) {
+// frameAddrs reads the source and destination MIDs from an encoded
+// transport frame (header bytes 1..2 and 3..4); false for runts.
+func frameAddrs(raw []byte) (src, dst frame.MID, ok bool) {
 	if len(raw) < minFrameLen {
-		return 0, false
+		return 0, 0, false
 	}
-	return frame.MID(binary.BigEndian.Uint16(raw[3:5])), true
+	return frame.MID(binary.BigEndian.Uint16(raw[1:3])), frame.MID(binary.BigEndian.Uint16(raw[3:5])), true
 }
 
 // touch stamps the activity clock (WaitIdle's quiescence test).
@@ -528,10 +543,7 @@ func (n *Network) drainInbox() bool {
 // deliver hands one received frame to its destination link (broadcasts to
 // every local link), from the driver goroutine in kernel context.
 func (n *Network) deliver(raw []byte) {
-	if n.cfg.FrameTap != nil {
-		n.cfg.FrameTap(raw)
-	}
-	dst, ok := frameDst(raw)
+	src, dst, ok := frameAddrs(raw)
 	if !ok {
 		n.statsMu.Lock()
 		n.stats.FramesCorrupted++
@@ -549,14 +561,7 @@ func (n *Network) deliver(raw []byte) {
 	}
 	n.mu.Unlock()
 	for _, l := range targets {
-		if !l.up {
-			n.statsMu.Lock()
-			n.stats.FramesDroppedDown++
-			n.statsMu.Unlock()
-			continue
-		}
-		n.countDelivered()
-		l.recv(raw)
+		n.handoff(src, l, raw)
 	}
 }
 

@@ -236,7 +236,7 @@ func (k *Kernel) AfterCross(dst *Kernel, d time.Duration, fn func()) {
 // the canonical (sequential-equivalent) commit order of the event that
 // buffered it. Outside a parallel window — plain kernels, exclusive steps,
 // setup code — fn runs immediately, which is already canonical order.
-// Observer and trace emissions go through here so parallel runs produce
+// The network's event stream goes through here so parallel runs produce
 // byte-identical output streams.
 func (k *Kernel) Buffer(fn func()) {
 	if ps := k.par; ps != nil && ps.winActive && ps.curRec != nil {

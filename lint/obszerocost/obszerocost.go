@@ -11,13 +11,16 @@
 // marker); a composite literal of a marked type must appear in one of the
 // guarded shapes:
 //
-//   - inside the body of an if whose condition nil-checks a consumer
-//     (if n.cfg.Observer != nil { ... Event{...} ... })
-//   - inside a function that opens with a guard clause
-//     (func (e *E) emit(...) { if e.cfg.Observer == nil { return } ... })
-//   - as the argument of a call to the value variable of an enclosing
-//     range loop (for _, tap := range taps { tap(Event{...}) } — an empty
-//     consumer slice never enters the body)
+//   - inside the body of an if whose condition nil-checks a consumer:
+//     the kernel's `if n.cfg.Observer != nil { ... ObsEvent{...} ... }`,
+//     and the media's `if b.hooks.Transmit != nil { ... }` and
+//     `if n.hooks.Delivery != nil { ... }` in internal/bus (Send,
+//     deliver) and internal/netx (send, handoff)
+//   - inside a function that opens with a guard clause: core's observe
+//     and deltat's emit (`if e.cfg.Observer == nil { return }`)
+//
+// Each of those hooks is installed only by the network's event stream
+// (soda.Network.Subscribe), and only for kinds that have a subscriber.
 package obszerocost
 
 import (
@@ -49,7 +52,7 @@ func run(pass *lint.Pass) error {
 			if !ok || !pass.Facts.TypeMarked(named, "event") {
 				return
 			}
-			if !guarded(pass, stack) {
+			if !guarded(stack) {
 				pass.Reportf(clit.Pos(),
 					"%s is an observer event (lint:event) but is constructed without a nil-consumer guard; build it under `if consumer != nil` or inside a guard-clause emit helper to keep disabled observability zero-cost", named.Obj().Name())
 			}
@@ -60,19 +63,13 @@ func run(pass *lint.Pass) error {
 
 // guarded walks the ancestor stack of a composite literal looking for one
 // of the accepted guard shapes.
-func guarded(pass *lint.Pass, stack []ast.Node) bool {
+func guarded(stack []ast.Node) bool {
 	lit := stack[len(stack)-1]
 	for i := len(stack) - 2; i >= 0; i-- {
 		switch anc := stack[i].(type) {
 		case *ast.IfStmt:
 			// Literal in the then-branch of a `!= nil` condition.
 			if lint.IsNilCheck(anc.Cond, true) && lint.Contains(anc.Body, lit) {
-				return true
-			}
-		case *ast.RangeStmt:
-			// tap(Event{...}) where tap is this loop's value variable: the
-			// body never runs with zero consumers registered.
-			if val, ok := anc.Value.(*ast.Ident); ok && callTargetIs(pass, stack[i:], val) {
 				return true
 			}
 		case *ast.FuncDecl:
@@ -100,24 +97,4 @@ func opensWithNilGuard(body *ast.BlockStmt) bool {
 	}
 	_, isReturn := ifs.Body.List[0].(*ast.ReturnStmt)
 	return isReturn
-}
-
-// callTargetIs reports whether, somewhere between the range statement
-// (tail[0]) and the literal (tail[len-1]), the literal is an argument of a
-// call whose callee resolves to the same object as val.
-func callTargetIs(pass *lint.Pass, tail []ast.Node, val *ast.Ident) bool {
-	target := pass.Info.Defs[val]
-	if target == nil {
-		return false
-	}
-	for _, n := range tail {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && pass.Info.Uses[id] == target {
-			return true
-		}
-	}
-	return false
 }

@@ -10,8 +10,16 @@ type Event struct {
 }
 
 type node struct {
-	obs  func(Event)
-	taps []func(Event)
+	obs   func(Event)
+	taps  []func(Event)
+	hooks hooks
+}
+
+// hooks is the media's shape (internal/bus, internal/netx): one emit hook
+// per wire event kind, nil when nobody subscribed to the kind.
+type hooks struct {
+	Transmit func(Event)
+	Delivery func(Event)
 }
 
 func (n *node) bad() {
@@ -45,11 +53,21 @@ func (n *node) goodEmit(kind int) {
 	n.obs(Event{Kind: kind})
 }
 
-// goodTapLoop is the delivery-tap shape used by internal/bus: with no taps
-// registered the body never runs, so nothing is constructed.
-func (n *node) goodTapLoop() {
+// goodHook is the media's emit shape: the hook field is nil-checked.
+func (n *node) goodHook() {
+	if n.hooks.Delivery != nil {
+		n.hooks.Delivery(Event{Kind: 5})
+	}
+}
+
+func (n *node) badHook() {
+	n.hooks.Transmit(Event{Kind: 5}) // want `Event is an observer event .* constructed without a nil-consumer guard`
+}
+
+// badTapLoop: a range over a consumer list is no guard.
+func (n *node) badTapLoop() {
 	for _, tap := range n.taps {
-		tap(Event{Kind: 5})
+		tap(Event{Kind: 5}) // want `Event is an observer event .* constructed without a nil-consumer guard`
 	}
 }
 

@@ -88,8 +88,8 @@ type reqTimes struct {
 }
 
 // Registry accumulates per-primitive latency histograms and per-node
-// counters from the kernel and transport observer streams. Feed it through
-// soda.WithMetrics, or call Observe/ObserveTransport directly. It is
+// counters from the kernel and transport events of a network's stream.
+// Subscribe it with soda.WithMetrics, or call Observe/ObserveTransport directly. It is
 // observation only and purely deterministic: the same event stream always
 // yields the same state.
 type Registry struct {

@@ -1,6 +1,6 @@
 // Package obs is the observability subsystem of the SODA reproduction: it
-// turns the kernel observer stream (core.Config.Observer), the transport
-// observer stream (deltat.Config.Observer), and the bus delivery tap into
+// turns the kernel, transport and delivery events of a network's event
+// stream (soda.Network.Subscribe) into
 //
 //   - causal spans — one per REQUEST lifecycle, with per-hop virtual-µs
 //     timestamps (issue → transport delivery → wire arrival → handler

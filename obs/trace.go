@@ -17,8 +17,8 @@ type TraceConfig struct {
 }
 
 // Span is the causal record of one REQUEST lifecycle, assembled from the
-// kernel observer stream (issue, delivery, arrival, accept, completion), the
-// transport observer stream, and the bus delivery tap (wire hops). All
+// kernel events (issue, delivery, arrival, accept, completion), the
+// transport events, and the delivery events (wire hops). All
 // timestamps are virtual; Has* guards report which hops were observed —
 // a lossy or crashing run legitimately produces partial spans.
 type Span struct {
@@ -87,8 +87,9 @@ type instant struct {
 	args map[string]int64
 }
 
-// Tracer assembles spans and instants from the three observer streams. Wire
-// it through soda.WithTracer, or feed Observe / ObserveTransport /
+// Tracer assembles spans and instants from the kernel, transport and
+// delivery events of a network's stream. Subscribe it with soda.WithTracer,
+// or feed Observe / ObserveTransport /
 // ObserveDelivery directly. Events must arrive in virtual-time order (the
 // simulation is single-threaded, so they do); everything recorded is kept in
 // arrival order, making exports byte-identical across same-seed runs.

@@ -49,10 +49,60 @@ func parChaosPlan() faults.Plan {
 // parArtifacts is everything a run must reproduce byte for byte.
 type parArtifacts struct {
 	trace      string
+	stream     *streamLog
 	profile    string
 	violations []string
 	unresolved int
 	stats      soda.ParStats
+}
+
+// streamLog is an all-kinds subscriber: it renders every event of the
+// network's stream as one line, and records where the stream breaks its
+// order — an event earlier in virtual time than the one before it, or a
+// delivery no transmit of the same source and size preceded.
+type streamLog struct {
+	text     bytes.Buffer
+	kinds    map[byte]int
+	last     time.Duration
+	sent     map[wireKey]bool
+	disorder []string
+}
+
+// wireKey names a frame the way both wire kinds can see it. The kind byte
+// is left out: a corrupted delivery may have lost it.
+type wireKey struct {
+	src  soda.MID
+	size int
+}
+
+func newStreamLog() *streamLog {
+	return &streamLog{kinds: make(map[byte]int), sent: make(map[wireKey]bool)}
+}
+
+func (l *streamLog) subscriber() soda.Subscriber {
+	return soda.Subscriber{
+		Kernel:    func(e soda.KernelEvent) { l.add('K', e.At, fmt.Sprintf("%+v", e)) },
+		Transport: func(e soda.TransportEvent) { l.add('P', e.At, fmt.Sprintf("%+v", e)) },
+		Transmit: func(e soda.TransmitEvent) {
+			l.sent[wireKey{e.Src, e.Size}] = true
+			l.add('T', e.At, fmt.Sprintf("%+v", e))
+		},
+		Delivery: func(e soda.DeliveryEvent) {
+			if !l.sent[wireKey{e.Src, len(e.Raw)}] {
+				l.disorder = append(l.disorder, fmt.Sprintf("t=%v: delivery %d->%d of %d bytes before any transmit of it", e.At, e.Src, e.Dst, len(e.Raw)))
+			}
+			l.add('D', e.At, fmt.Sprintf("%d->%d corrupted=%v %x", e.Src, e.Dst, e.Corrupted, e.Raw))
+		},
+	}
+}
+
+func (l *streamLog) add(kind byte, at time.Duration, body string) {
+	if at < l.last {
+		l.disorder = append(l.disorder, fmt.Sprintf("%c event at %v after one at %v", kind, at, l.last))
+	}
+	l.last = at
+	l.kinds[kind]++
+	fmt.Fprintf(&l.text, "%c %v %s\n", kind, at, body)
 }
 
 // runSegmentedChaos executes the battery scenario — 12 nodes over four
@@ -71,6 +121,8 @@ func runSegmentedChaos(t *testing.T, extra ...soda.Option) parArtifacts {
 	nw := soda.NewNetwork(opts...)
 	var trace bytes.Buffer
 	nw.Trace(&trace)
+	stream := newStreamLog()
+	nw.Subscribe(stream.subscriber())
 	nw.Register("echo", echo("hub"))
 	nw.Register("driver", soda.Program{
 		Task: func(c *soda.Client) {
@@ -101,6 +153,7 @@ func runSegmentedChaos(t *testing.T, extra ...soda.Option) parArtifacts {
 	ch := nw.Invariants()
 	return parArtifacts{
 		trace:      trace.String(),
+		stream:     stream,
 		profile:    string(prof),
 		violations: ch.Finish(),
 		unresolved: len(ch.Unresolved()),
@@ -173,6 +226,9 @@ func TestParallelMatchesSequentialChaos(t *testing.T) {
 			if par.trace != seq.trace {
 				t.Fatalf("%s: trace diverged at %s", name, firstDiff(seq.trace, par.trace))
 			}
+			if a, b := seq.stream.text.String(), par.stream.text.String(); a != b {
+				t.Fatalf("%s: event stream diverged at %s", name, firstDiff(a, b))
+			}
 			if par.profile != seq.profile {
 				t.Fatalf("%s: profile diverged at %s", name, firstDiff(seq.profile, par.profile))
 			}
@@ -193,6 +249,27 @@ func TestParallelMatchesSequentialChaos(t *testing.T) {
 			if st.ExclusiveSteps == 0 {
 				t.Fatalf("%s: gateway chaos should have forced exclusive steps: %+v", name, st)
 			}
+		}
+	}
+}
+
+// TestEventStreamOrder checks the battery's whole event stream, all four
+// kinds in one order: it never goes back in virtual time, and every
+// delivery follows a transmit of its frame. The parallel run must agree;
+// TestParallelMatchesSequentialChaos pins it byte for byte.
+func TestEventStreamOrder(t *testing.T) {
+	for _, run := range []struct {
+		name string
+		opts []soda.Option
+	}{{"sequential", nil}, {"parallel", []soda.Option{soda.WithParallelSim(2)}}} {
+		l := runSegmentedChaos(t, run.opts...).stream
+		for _, k := range []byte{'K', 'P', 'T', 'D'} {
+			if l.kinds[k] == 0 {
+				t.Errorf("%s: no %c events in the stream; the order check would prove nothing", run.name, k)
+			}
+		}
+		if len(l.disorder) > 0 {
+			t.Errorf("%s: %d order breaks, first: %s", run.name, len(l.disorder), l.disorder[0])
 		}
 	}
 }

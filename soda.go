@@ -50,7 +50,6 @@ import (
 	"soda/faults"
 	"soda/internal/bus"
 	"soda/internal/core"
-	"soda/internal/deltat"
 	"soda/internal/frame"
 	"soda/internal/internet"
 	"soda/internal/netx"
@@ -142,10 +141,6 @@ func WellKnownPattern(v uint64) Pattern { return frame.WellKnownPattern(v) }
 // path takes at most two gateway hops.
 func StarTopology(segments int) Topology { return internet.Star(segments) }
 
-// LineTopology is a chain internetwork: gateway i bridges segments i and
-// i+1 (the longest path crosses segments-1 gateways).
-func LineTopology(segments int) Topology { return internet.Line(segments) }
-
 // DefaultNodeConfig returns the per-node kernel configuration calibrated to
 // the thesis's implementation (§5.5); tweak and pass via WithNodeConfig.
 func DefaultNodeConfig() Config { return core.DefaultConfig() }
@@ -197,7 +192,6 @@ type options struct {
 	parShuffle int64
 	sockListen string
 	sockPeers  map[MID]string
-	sockTap    func(raw []byte)
 }
 
 type optionFunc func(*options)
@@ -249,7 +243,7 @@ func WithTopology(t Topology) Option {
 // WithParallelSim asks the scheduler to execute bus segments in parallel,
 // with at most workers segments running concurrently (DESIGN.md §15). It is
 // a pure wall-clock optimization: a parallel run is byte-identical to the
-// sequential run — same trace output, same observer streams and profiles,
+// sequential run — same trace output, same event stream and profiles,
 // same invariant verdicts, same random draws — because cross-segment events
 // are bounded below by the topology's ForwardDelay (the conservative
 // lookahead) and every globally sequenced side effect is committed in
@@ -311,21 +305,11 @@ func WithSocketPeers(peers map[MID]string) Option {
 	})
 }
 
-// WithSocketFrameTap observes every raw transport frame delivered by a
-// socket network, before decoding (fuzz-corpus capture; nil disables).
-// The tap runs on the driver goroutine.
-func WithSocketFrameTap(tap func(raw []byte)) Option {
-	return optionFunc(func(o *options) { o.sockTap = tap })
-}
-
-// WithNodeConfig replaces the whole per-node configuration.
+// WithNodeConfig replaces the whole per-node configuration. Its observer
+// hooks must be nil — consumers attach with Network.Subscribe — and
+// NewNetwork panics otherwise.
 func WithNodeConfig(cfg Config) Option {
 	return optionFunc(func(o *options) { o.nodeCfg = cfg })
-}
-
-// WithBusConfig replaces the medium configuration.
-func WithBusConfig(cfg bus.Config) Option {
-	return optionFunc(func(o *options) { o.busCfg = cfg })
 }
 
 // WithEventLimit caps total simulation events (a livelock backstop).
@@ -341,26 +325,25 @@ func WithFaultPlan(p faults.Plan) Option {
 	return optionFunc(func(o *options) { o.plan = &p })
 }
 
-// WithInvariantChecks attaches a faults.Checker to every node's observer
-// stream and the bus delivery tap for the whole run; read the verdict with
+// WithInvariantChecks subscribes a faults.Checker to the network's kernel
+// and delivery events for the whole run; read the verdict with
 // Network.Invariants after the run settles.
 func WithInvariantChecks() Option {
 	return optionFunc(func(o *options) { o.invariants = true })
 }
 
-// WithTracer attaches an obs.Tracer to the run: it consumes every node's
-// kernel observer stream, every transport endpoint's protocol event stream,
-// and the bus delivery tap, assembling one causal span per REQUEST. Export
-// with Tracer.WriteChromeTrace after the run. Attaching a tracer never
-// changes behavior: all streams are synchronous observation, and a run
-// without one builds no events at all.
+// WithTracer subscribes an obs.Tracer to the network's kernel, transport
+// and delivery events, assembling one causal span per REQUEST. Export with
+// Tracer.WriteChromeTrace after the run. Attaching a tracer never changes
+// behavior: the stream is synchronous observation, and a run without
+// subscribers builds no events at all.
 func WithTracer(t *obs.Tracer) Option {
 	return optionFunc(func(o *options) { o.tracer = t })
 }
 
-// WithMetrics attaches an obs.Registry to the run: per-primitive latency
-// histograms and per-node protocol counters, fed from the same streams as
-// WithTracer. Read it after the run (Registry.WriteSummary, or
+// WithMetrics subscribes an obs.Registry to the network's kernel and
+// transport events: per-primitive latency histograms and per-node protocol
+// counters. Read it after the run (Registry.WriteSummary, or
 // Network.Profile for the exportable form).
 func WithMetrics(r *obs.Registry) Option {
 	return optionFunc(func(o *options) { o.metrics = r })
@@ -392,11 +375,8 @@ type Network struct {
 	checker *faults.Checker
 	tracer  *obs.Tracer
 	metrics *obs.Registry
-	// userObs and userTObs hold the raw WithNodeConfig observers on a
-	// parallel network, where composition is deferred to AddNode (each node
-	// buffers through its own shard kernel).
-	userObs  func(core.ObsEvent)
-	userTObs func(deltat.Event)
+	// stream lists the event stream's subscribers (see Subscribe).
+	stream stream
 }
 
 // warnOutput receives setup-time configuration warnings; a variable so
@@ -418,6 +398,9 @@ func NewNetwork(opts ...Option) *Network {
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
+	if o.nodeCfg.Observer != nil || o.nodeCfg.Transport.Observer != nil {
+		panic("soda: WithNodeConfig carries an Observer; attach consumers with Network.Subscribe")
+	}
 	useParallel := o.parWorkers > 1 && o.topo != nil && o.topo.Segments > 1 && o.topo.ForwardDelay > 0
 	nw := &Network{
 		reg:   core.Registry{},
@@ -438,11 +421,7 @@ func NewNetwork(opts ...Option) *Network {
 		k := sim.New(o.seed)
 		k.SetEventLimit(o.eventCap)
 		nw.k = k
-		nx, err := netx.New(k, netx.Config{
-			Listen:   o.sockListen,
-			Peers:    o.sockPeers,
-			FrameTap: o.sockTap,
-		})
+		nx, err := netx.New(k, netx.Config{Listen: o.sockListen, Peers: o.sockPeers})
 		if err != nil {
 			panic(fmt.Sprintf("soda: %v", err))
 		}
@@ -485,90 +464,21 @@ func NewNetwork(opts ...Option) *Network {
 			nw.buses = []*bus.Bus{nw.b}
 		}
 	}
+	if nw.inet != nil && nw.coord == nil {
+		// The internetwork's pattern directory follows the advertise and
+		// crash kernel events (the DISCOVER cache coherence contract,
+		// DESIGN.md §13); a parallel network applies it in nodeHooks.
+		nw.Subscribe(Subscriber{Kernel: nw.inet.Observe})
+	}
 	if o.invariants {
 		nw.checker = faults.NewChecker()
-		for s, b := range nw.buses {
-			b.AddDeliveryTap(nw.bufferedDeliveryTap(s, nw.checker.ObserveDelivery))
-		}
+		nw.Subscribe(Subscriber{Kernel: nw.checker.Observe, Delivery: nw.checker.ObserveDelivery})
 	}
-	nw.tracer = o.tracer
-	nw.metrics = o.metrics
-	if nw.tracer != nil {
-		for s, b := range nw.buses {
-			b.AddDeliveryTap(nw.bufferedDeliveryTap(s, nw.tracer.ObserveDelivery))
-		}
+	if nw.tracer = o.tracer; nw.tracer != nil {
+		nw.Subscribe(Subscriber{Kernel: nw.tracer.Observe, Transport: nw.tracer.ObserveTransport, Delivery: nw.tracer.ObserveDelivery})
 	}
-
-	if nw.coord != nil {
-		// Parallel network: observer composition is per-node (AddNode), so
-		// each node buffers its emissions through its own shard kernel. Only
-		// the raw user hooks are recorded here.
-		nw.userObs = nw.cfg.Observer
-		nw.cfg.Observer = nil
-		nw.userTObs = nw.cfg.Transport.Observer
-		nw.cfg.Transport.Observer = nil
-		nw.armPlan(o.plan)
-		return nw
-	}
-
-	// Fan the single kernel observer hook out to every attached consumer.
-	// A user observer set via WithNodeConfig runs first (it predates the
-	// obs layer), then the invariant checker, tracer, and metrics. With no
-	// consumers the hook stays nil, so nodes build no events at all.
-	coreObs := make([]func(core.ObsEvent), 0, 5)
-	if nw.cfg.Observer != nil {
-		coreObs = append(coreObs, nw.cfg.Observer)
-	}
-	if nw.inet != nil {
-		// The internetwork's pattern directory follows the observer
-		// stream's advertise/crash events (the DISCOVER cache coherence
-		// contract, DESIGN.md §13).
-		coreObs = append(coreObs, nw.inet.Observe)
-	}
-	if nw.checker != nil {
-		coreObs = append(coreObs, nw.checker.Observe)
-	}
-	if nw.tracer != nil {
-		coreObs = append(coreObs, nw.tracer.Observe)
-	}
-	if nw.metrics != nil {
-		coreObs = append(coreObs, nw.metrics.Observe)
-	}
-	switch len(coreObs) {
-	case 0:
-		nw.cfg.Observer = nil
-	case 1:
-		nw.cfg.Observer = coreObs[0]
-	default:
-		nw.cfg.Observer = func(ev core.ObsEvent) {
-			for _, f := range coreObs {
-				f(ev)
-			}
-		}
-	}
-
-	// Same fan-out for the transport observer hook.
-	tObs := make([]func(deltat.Event), 0, 3)
-	if nw.cfg.Transport.Observer != nil {
-		tObs = append(tObs, nw.cfg.Transport.Observer)
-	}
-	if nw.tracer != nil {
-		tObs = append(tObs, nw.tracer.ObserveTransport)
-	}
-	if nw.metrics != nil {
-		tObs = append(tObs, nw.metrics.ObserveTransport)
-	}
-	switch len(tObs) {
-	case 0:
-		nw.cfg.Transport.Observer = nil
-	case 1:
-		nw.cfg.Transport.Observer = tObs[0]
-	default:
-		nw.cfg.Transport.Observer = func(ev deltat.Event) {
-			for _, f := range tObs {
-				f(ev)
-			}
-		}
+	if nw.metrics = o.metrics; nw.metrics != nil {
+		nw.Subscribe(Subscriber{Kernel: nw.metrics.Observe, Transport: nw.metrics.ObserveTransport})
 	}
 	nw.armPlan(o.plan)
 	return nw
@@ -611,79 +521,6 @@ func (nw *Network) armPlan(plan *faults.Plan) {
 		return
 	}
 	inj.Arm(nodeControl{nw})
-}
-
-// bufferedDeliveryTap adapts a delivery-tap consumer for segment s: under
-// the parallel scheduler its events are buffered on the owning shard kernel
-// and replayed in canonical commit order at the window barrier; on a
-// sequential network it is the consumer itself.
-func (nw *Network) bufferedDeliveryTap(s int, tap func(bus.DeliveryEvent)) func(bus.DeliveryEvent) {
-	if nw.coord == nil {
-		return tap
-	}
-	k := nw.coord.Shard(s)
-	return func(e bus.DeliveryEvent) { k.Buffer(func() { tap(e) }) }
-}
-
-// parObserver builds one node's kernel-observer hook on a parallel network.
-// Directory kinds apply to the internetwork immediately, under the order
-// gate — a DISCOVER proxied later in the same window must see them — while
-// every other consumer's delivery is buffered for canonical-order replay at
-// the window barrier, reproducing the sequential event order exactly.
-func (nw *Network) parObserver(k *sim.Kernel) func(core.ObsEvent) {
-	buffered := make([]func(core.ObsEvent), 0, 4)
-	if nw.userObs != nil {
-		buffered = append(buffered, nw.userObs)
-	}
-	if nw.checker != nil {
-		buffered = append(buffered, nw.checker.Observe)
-	}
-	if nw.tracer != nil {
-		buffered = append(buffered, nw.tracer.Observe)
-	}
-	if nw.metrics != nil {
-		buffered = append(buffered, nw.metrics.Observe)
-	}
-	inet := nw.inet
-	return func(ev core.ObsEvent) {
-		switch ev.Kind {
-		case core.ObsAdvertise, core.ObsUnadvertise, core.ObsCrash, core.ObsDie:
-			k.Gated(func() { inet.Observe(ev) })
-		}
-		if len(buffered) == 0 {
-			return
-		}
-		k.Buffer(func() {
-			for _, f := range buffered {
-				f(ev)
-			}
-		})
-	}
-}
-
-// parTransportObserver is parObserver's counterpart for the transport
-// event stream (which has no directory consumer, so everything buffers).
-func (nw *Network) parTransportObserver(k *sim.Kernel) func(deltat.Event) {
-	buffered := make([]func(deltat.Event), 0, 3)
-	if nw.userTObs != nil {
-		buffered = append(buffered, nw.userTObs)
-	}
-	if nw.tracer != nil {
-		buffered = append(buffered, nw.tracer.ObserveTransport)
-	}
-	if nw.metrics != nil {
-		buffered = append(buffered, nw.metrics.ObserveTransport)
-	}
-	if len(buffered) == 0 {
-		return nil
-	}
-	return func(ev deltat.Event) {
-		k.Buffer(func() {
-			for _, f := range buffered {
-				f(ev)
-			}
-		})
-	}
 }
 
 // nodeControl adapts the network to the fault injector's crash/reboot
@@ -741,7 +578,7 @@ func (nw *Network) Register(name string, prog Program) { nw.reg[name] = prog }
 func (nw *Network) AddNode(mid MID) (*Node, error) {
 	b := nw.b
 	k := nw.k
-	cfg := nw.cfg
+	var shard *sim.Kernel
 	if nw.inet != nil {
 		if mid >= internet.GatewayMIDBase {
 			return nil, fmt.Errorf("soda: MID %d collides with the gateway range (>= %d)", mid, internet.GatewayMIDBase)
@@ -750,14 +587,14 @@ func (nw *Network) AddNode(mid MID) (*Node, error) {
 		if b, err = nw.inet.BusFor(mid); err != nil {
 			return nil, err
 		}
-		if nw.coord != nil {
+		if shard = nw.shard(nw.inet.SegmentOf(mid)); shard != nil {
 			// The node schedules on the kernel owning its segment, and its
-			// observer hooks buffer (or gate) through that same kernel.
-			k = nw.coord.Shard(nw.inet.SegmentOf(mid))
-			cfg.Observer = nw.parObserver(k)
-			cfg.Transport.Observer = nw.parTransportObserver(k)
+			// event hooks buffer (or gate) through that same kernel.
+			k = shard
 		}
 	}
+	cfg := nw.cfg
+	cfg.Observer, cfg.Transport.Observer = nw.nodeHooks(shard)
 	var w wire.Network
 	if nw.nx != nil {
 		w = nw.nx
@@ -867,53 +704,38 @@ func (nw *Network) Now() time.Duration { return nw.k.Now() }
 // injection: crash a node mid-run, etc.).
 func (nw *Network) At(t time.Duration, fn func()) { nw.k.At(t, fn) }
 
-// Trace writes one line per frame transmission to w (nil disables): the
-// virtual timestamp, source, destination and transport kind. On a
-// segmented network each line is prefixed with the segment it was heard
-// on (a relayed frame appears once per segment it crosses, with the
-// gateway as its wire-level source). Intended for debugging protocol
-// flows; the output is deterministic.
+// Trace subscribes a frame log writing one line per frame transmission to
+// w (nil subscribes nothing): the timestamp, source, destination and
+// transport kind. On a segmented network each line is prefixed with the
+// segment it was heard on (a relayed frame appears once per segment it
+// crosses, with the gateway as its wire-level source). Like Subscribe, it
+// must precede the first AddNode. Intended for debugging protocol flows;
+// the output is deterministic on the simulator only — a socket network
+// stamps virtual time pinned to the wall clock.
 func (nw *Network) Trace(w io.Writer) {
-	if nw.nx != nil {
-		// The real wire has no deterministic tap; use WithSocketFrameTap
-		// for raw frame observation.
-		return
-	}
 	if w == nil {
-		for _, b := range nw.buses {
-			b.SetTap(nil)
-		}
 		return
 	}
-	line := (&frameLog{w: w}).line
-	if nw.inet == nil {
-		nw.b.SetTap(func(e bus.TapEvent) { line("", e) })
-		return
-	}
-	for s, b := range nw.buses {
-		prefix := fmt.Sprintf("s%d ", s)
-		if nw.coord != nil {
-			// Buffer trace lines on the owning shard so the file interleaves
-			// in canonical commit order, byte-identical to a sequential run.
-			k := nw.coord.Shard(s)
-			b.SetTap(func(e bus.TapEvent) { k.Buffer(func() { line(prefix, e) }) })
-			continue
-		}
-		b.SetTap(func(e bus.TapEvent) { line(prefix, e) })
-	}
+	l := &frameLog{w: w, segmented: nw.inet != nil}
+	nw.Subscribe(Subscriber{Transmit: l.line})
 }
 
 // frameLog writes Trace's lines. Each line is built in one reused buffer
 // and written with one Write; its bytes are those of the format
-// "%s%12v  %3d -> %-9s %-6v %4dB\n" applied to the segment prefix, time,
-// source, destination ("broadcast" or the MID), kind and size.
+// "%s%12v  %3d -> %-9s %-6v %4dB\n" applied to the segment prefix ("s1 "
+// on a segmented network, else empty), time, source, destination
+// ("broadcast" or the MID), kind and size.
 type frameLog struct {
-	w   io.Writer
-	buf []byte
+	w         io.Writer
+	segmented bool
+	buf       []byte
 }
 
-func (l *frameLog) line(prefix string, e bus.TapEvent) {
-	b := append(l.buf[:0], prefix...)
+func (l *frameLog) line(e TransmitEvent) {
+	b := l.buf[:0]
+	if l.segmented {
+		b = append(strconv.AppendInt(append(b, 's'), int64(e.Seg), 10), ' ')
+	}
 	start := len(b)
 	b = alignRight(append(b, e.At.String()...), start, 12)
 	b = append(b, "  "...)
@@ -1022,10 +844,6 @@ func (nw *Network) InternetStats() InternetStats {
 	}
 	return nw.inet.Stats()
 }
-
-// TransportConfig exposes the Delta-t parameters in effect (for tests that
-// reason about timing bounds).
-func (nw *Network) TransportConfig() deltat.Config { return nw.cfg.Transport }
 
 // socket returns the TCP transport, panicking on a simulated network (the
 // Socket* methods are programmer errors there, like MustAddNode's panic).
