@@ -1,104 +1,55 @@
-// Command sodasim runs named SODA scenarios on a simulated network and
-// narrates what happens.
+// Command sodasim runs one entry of the scenario catalogue (package
+// soda/scenario) and narrates what happens. A count-based entry runs until
+// its sessions finish and its check passes; any other runs for -duration
+// of virtual time. An entry that scales runs on its smallest layout.
 //
-// Usage:
-//
-//	sodasim -scenario philosophers   # dining philosophers + deadlock detector
-//	sodasim -scenario fileserver     # remote file service session
-//	sodasim -scenario boot           # remote boot / kill via reserved patterns
+//	sodasim -scenario dining         # dining philosophers + deadlock detector
+//	sodasim -scenario fileservice    # remote file service session
+//	sodasim -scenario bootkill       # remote boot / kill via reserved patterns
 //	sodasim -scenario crash          # crash detection via probes
 //	sodasim -seed 7 -duration 30s    # any scenario is deterministic per seed
-//
-// Observability:
-//
-//	sodasim -trace out.json          # write a Chrome trace (load in Perfetto)
-//	sodasim -metrics                 # print per-primitive latency digests
+//	sodasim -trace out.json -metrics # Chrome trace (Perfetto) + latency digests
 //	sodasim -frames                  # print every frame on the bus
 //
-// Fault injection (any combination; all deterministic per seed):
+// Fault injection (-loss, -corrupt, -duplicate, -faultplan plan.json,
+// -chaos for a plan generated from the seed, -check for none) arms the
+// invariant checkers; the command exits non-zero on a violation.
 //
-//	sodasim -loss 0.1                # drop 10% of frames
-//	sodasim -corrupt 0.05            # damage 5% of frames (CRC-detected)
-//	sodasim -duplicate 0.05          # re-deliver 5% of frames
-//	sodasim -faultplan plan.json     # replay a declarative fault plan
-//	sodasim -chaos                   # generate a random plan from the seed
-//	sodasim -check                   # invariant checkers without faults
+// Real sockets (DESIGN.md §16): -net tcp runs the machine whose boot
+// program is -role, one per OS process, over TCP. Two terminals:
 //
-// Whenever any fault source is active the invariant checkers run and the
-// command exits non-zero if a reliability guarantee was violated.
-//
-// Real sockets (DESIGN.md §16): -net tcp runs one SODA machine per OS
-// process over localhost TCP instead of the simulated bus. Two terminals:
-//
-//	sodasim -net tcp -role fs     -listen 127.0.0.1:7001 -peers 2=127.0.0.1:7002
-//	sodasim -net tcp -role client -listen 127.0.0.1:7002 -peers 1=127.0.0.1:7001
+//	sodasim -net tcp -scenario fileservice -role fs     -listen 127.0.0.1:7001 -peers 2=127.0.0.1:7002
+//	sodasim -net tcp -scenario fileservice -role client -listen 127.0.0.1:7002 -peers 1=127.0.0.1:7001
 //
 // The peer map is explicit and symmetric: each process lists every other
-// machine's MID and address (the transport does not learn return routes).
-// -frames prints the process's frame log here too, every frame it sends;
-// its timestamps are wall-clock time since the driver started, so unlike
-// a simulated run it differs from run to run.
+// machine (the transport does not learn return routes). A machine with a
+// session stops when it is done, a server once the network has been idle
+// for a second or -duration of wall time has passed. -trace, -metrics and
+// -frames work here too (timestamps are wall-clock time since the driver
+// started); the simulator-only flags are rejected.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"soda"
-	"soda/apps/fileserver"
-	"soda/apps/philo"
 	"soda/faults"
 	"soda/obs"
-	"soda/timesrv"
+	"soda/scenario"
 )
 
 func main() {
-	scenario := flag.String("scenario", "philosophers", "scenario: philosophers, fileserver, boot, crash")
-	seed := flag.Int64("seed", 1, "deterministic random seed")
-	duration := flag.Duration("duration", 20*time.Second, "virtual run time")
-	frames := flag.Bool("frames", false, "print every frame on the bus")
-	flag.StringVar(&ocfg.traceFile, "trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
-	flag.BoolVar(&ocfg.traceWire, "tracewire", false, "include per-frame wire events in the trace (bulky)")
-	flag.BoolVar(&ocfg.metrics, "metrics", false, "print per-primitive latency digests and node counters")
-	flag.Float64Var(&fcfg.loss, "loss", 0, "per-frame loss probability (0..1)")
-	flag.Float64Var(&fcfg.corrupt, "corrupt", 0, "per-frame corruption probability (0..1)")
-	flag.Float64Var(&fcfg.duplicate, "duplicate", 0, "per-frame duplication probability (0..1)")
-	flag.StringVar(&fcfg.planFile, "faultplan", "", "JSON fault plan to replay")
-	flag.BoolVar(&fcfg.chaos, "chaos", false, "generate a random fault plan from the seed")
-	flag.BoolVar(&fcfg.check, "check", false, "run the invariant checkers even without faults")
-	flag.IntVar(&pcfg.segments, "segments", 0, "star-internetwork segment count (<=1 = single shared bus)")
-	flag.DurationVar(&pcfg.forwardDelay, "forwarddelay", 2*time.Millisecond, "gateway store-and-forward delay; the conservative lookahead bound for -parworkers")
-	flag.IntVar(&pcfg.parworkers, "parworkers", 0, "intra-run parallel workers (needs -segments >= 2; <=1 = sequential)")
-	flag.StringVar(&ncfg.net, "net", "sim", "transport: sim (deterministic virtual time) or tcp (real sockets, wall time)")
-	flag.StringVar(&ncfg.role, "role", "", "-net tcp: which machine this process is (fileserver scenario: fs or client)")
-	flag.StringVar(&ncfg.listen, "listen", "127.0.0.1:0", "-net tcp: listen address for peer connections")
-	flag.StringVar(&ncfg.peers, "peers", "", "-net tcp: comma-separated mid=host:port peer map")
-	flag.Parse()
-	traceAll = *frames
-
-	if ncfg.net == "tcp" {
-		if err := runSocket(*scenario, *seed, *duration); err != nil {
-			fmt.Fprintf(os.Stderr, "sodasim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var err error
-	switch *scenario {
-	case "philosophers":
-		err = runPhilosophers(*seed, *duration)
-	case "fileserver":
-		err = runFileServer(*seed, *duration)
-	case "boot":
-		err = runBoot(*seed, *duration)
-	case "crash":
-		err = runCrash(*seed, *duration)
-	default:
-		err = fmt.Errorf("unknown scenario %q", *scenario)
+	s, err := open(parse(os.Args[1:]), os.Stdout)
+	if err == nil {
+		err = s.run()
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sodasim: %v\n", err)
@@ -106,43 +57,128 @@ func main() {
 	}
 }
 
-// traceAll enables frame tracing on every scenario network.
-var traceAll bool
+// config holds the parsed flags; set names the ones given explicitly.
+type config struct {
+	scenario, traceFile, planFile, net, role, listen, peers string
 
-// fcfg carries the fault-injection flags into the scenario runners.
-var fcfg struct {
+	seed                     int64
+	duration, forwardDelay   time.Duration
+	frames, traceWire        bool
+	metrics, chaos, check    bool
 	loss, corrupt, duplicate float64
-	planFile                 string
-	chaos                    bool
-	check                    bool
+	segments, parworkers     int
+	set                      map[string]bool
 }
 
-// pcfg carries the topology and intra-run parallelism flags. A -parworkers
-// request without a shardable -segments topology degrades to sequential
-// with the library's explicit stderr warning (never silently).
-var pcfg struct {
-	segments     int
-	forwardDelay time.Duration
-	parworkers   int
+// rejects names, per backend, the flags only the other one honours.
+var rejects = map[string][]string{
+	"sim": {"role", "listen", "peers"},
+	"tcp": {"loss", "corrupt", "duplicate", "faultplan", "chaos", "check", "segments", "forwarddelay", "parworkers"},
 }
 
-// ocfg carries the observability flags; tracer/metrics hold the instances
-// attached to the scenario network so report can export them.
-var ocfg struct {
-	traceFile string
-	traceWire bool
-	metrics   bool
-	tracer    *obs.Tracer
-	registry  *obs.Registry
+func parse(args []string) config {
+	var c config
+	fs := flag.NewFlagSet("sodasim", flag.ExitOnError)
+	fs.StringVar(&c.scenario, "scenario", "dining", "scenario catalogue entry: "+strings.Join(scenario.Names(), ", "))
+	fs.Int64Var(&c.seed, "seed", 1, "deterministic random seed")
+	fs.DurationVar(&c.duration, "duration", 20*time.Second, "virtual run time (the cap of a count-based scenario; wall time with -net tcp)")
+	fs.BoolVar(&c.frames, "frames", false, "print every frame on the bus")
+	fs.StringVar(&c.traceFile, "trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
+	fs.BoolVar(&c.traceWire, "tracewire", false, "include per-frame wire events in the trace (bulky)")
+	fs.BoolVar(&c.metrics, "metrics", false, "print per-primitive latency digests and node counters")
+	fs.Float64Var(&c.loss, "loss", 0, "per-frame loss probability (0..1)")
+	fs.Float64Var(&c.corrupt, "corrupt", 0, "per-frame corruption probability (0..1)")
+	fs.Float64Var(&c.duplicate, "duplicate", 0, "per-frame duplication probability (0..1)")
+	fs.StringVar(&c.planFile, "faultplan", "", "JSON fault plan to replay")
+	fs.BoolVar(&c.chaos, "chaos", false, "generate a random fault plan from the seed")
+	fs.BoolVar(&c.check, "check", false, "run the invariant checkers even without faults")
+	fs.IntVar(&c.segments, "segments", 0, "star-internetwork segment count (<=1 = single shared bus)")
+	fs.DurationVar(&c.forwardDelay, "forwarddelay", 2*time.Millisecond, "gateway store-and-forward delay; the conservative lookahead bound for -parworkers")
+	fs.IntVar(&c.parworkers, "parworkers", 0, "intra-run parallel workers (needs -segments >= 2; <=1 = sequential)")
+	fs.StringVar(&c.net, "net", "sim", "transport: sim (deterministic virtual time) or tcp (real sockets, wall time)")
+	fs.StringVar(&c.role, "role", "", "-net tcp: which machine this process is, by its boot program (fileservice: fs or client)")
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:0", "-net tcp: listen address for peer connections")
+	fs.StringVar(&c.peers, "peers", "", "-net tcp: comma-separated mid=host:port peer map")
+	_ = fs.Parse(args)
+	c.set = make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { c.set[f.Name] = true })
+	return c
 }
 
-// newNetwork assembles the scenario network plus whatever fault sources the
-// flags ask for. The scenario passes its machine set and the nodes a chaos
-// plan may crash (stateless services only) so -chaos can target them.
-func newNetwork(seed int64, d time.Duration, mids []soda.MID, crashable []faults.CrashTarget) (*soda.Network, error) {
+// session is one run: the entry built for it, and the network (the whole
+// layout on the simulator, the one -role machine on sockets).
+type session struct {
+	cfg     config
+	out     io.Writer
+	entry   scenario.Run
+	node    scenario.Node // -net tcp: this process's machine
+	nw      *soda.Network
+	tracer  *obs.Tracer
+	metrics *obs.Registry
+}
+
+// open validates the flags, builds the entry with a printer on out, and
+// installs it into the network the flags describe, ready to run.
+func open(cfg config, out io.Writer) (*session, error) {
+	wrong, ok := rejects[cfg.net]
+	if !ok {
+		return nil, fmt.Errorf("-net %q: want sim or tcp", cfg.net)
+	}
+	for _, name := range wrong {
+		if cfg.set[name] {
+			return nil, fmt.Errorf("-%s does not apply to -net %s", name, cfg.net)
+		}
+	}
+	sc, err := scenario.Lookup(cfg.scenario)
+	if err != nil {
+		return nil, err
+	}
+	say := func(format string, args ...any) { fmt.Fprintf(out, format+"\n", args...) }
+	s := &session{cfg: cfg, out: out, entry: sc.Build(sc.Nodes, cfg.duration, say)}
+	if cfg.net == "sim" {
+		if s.nw, err = s.network(); err == nil {
+			s.entry.Install(s.nw)
+		}
+		return s, err
+	}
+	if s.entry.Schedule != nil {
+		return nil, fmt.Errorf("scenario %q schedules simulator actions; it has no socket roles", sc.Name)
+	}
+	var roles []string
+	for _, n := range s.entry.Nodes {
+		if n.Boot != "" {
+			roles = append(roles, n.Boot)
+			if n.Boot == cfg.role {
+				s.node = n
+			}
+		}
+	}
+	if s.node.MID == 0 {
+		return nil, fmt.Errorf("scenario %q has no machine booting -role %q (roles: %s)", sc.Name, cfg.role, strings.Join(roles, ", "))
+	}
+	if s.nw, err = s.network(); err != nil {
+		return nil, err
+	}
+	s.entry.Register(s.nw)
+	s.nw.MustAddNode(s.node.MID)
+	s.nw.MustBoot(s.node.MID, s.node.Boot)
+	return s, nil
+}
+
+// network builds the network the flags describe, for either backend.
+func (s *session) network() (*soda.Network, error) {
+	cfg := s.cfg
+	opts := []soda.Option{soda.WithSeed(cfg.seed)}
+	if cfg.net == "tcp" {
+		peers, err := parsePeers(cfg.peers)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, soda.WithSocketTransport(cfg.listen), soda.WithSocketPeers(peers))
+	}
 	var plan faults.Plan
-	if fcfg.planFile != "" {
-		data, err := os.ReadFile(fcfg.planFile)
+	if cfg.planFile != "" {
+		data, err := os.ReadFile(cfg.planFile)
 		if err != nil {
 			return nil, err
 		}
@@ -150,272 +186,157 @@ func newNetwork(seed int64, d time.Duration, mids []soda.MID, crashable []faults
 		if err != nil {
 			return nil, err
 		}
-		plan.Events = append(plan.Events, p.Events...)
+		plan.Events = p.Events
 	}
-	if fcfg.corrupt > 0 {
-		plan.Events = append(plan.Events, faults.Event{Kind: faults.Corrupt, Prob: fcfg.corrupt})
+	for _, ev := range []faults.Event{{Kind: faults.Corrupt, Prob: cfg.corrupt}, {Kind: faults.Duplicate, Prob: cfg.duplicate}} {
+		if ev.Prob > 0 {
+			plan.Events = append(plan.Events, ev)
+		}
 	}
-	if fcfg.duplicate > 0 {
-		plan.Events = append(plan.Events, faults.Event{Kind: faults.Duplicate, Prob: fcfg.duplicate})
-	}
-	if fcfg.chaos {
-		gen := faults.Generate(rand.New(rand.NewSource(seed)), faults.GenConfig{
-			Horizon:   d,
-			MIDs:      mids,
-			Crashable: crashable,
-			Segments:  pcfg.segments,
-		})
+	if cfg.chaos {
+		var mids []soda.MID
+		for _, n := range s.entry.Nodes {
+			mids = append(mids, n.MID)
+		}
+		gen := faults.Generate(rand.New(rand.NewSource(cfg.seed)), faults.GenConfig{Horizon: cfg.duration, MIDs: mids, Segments: cfg.segments})
 		if data, err := gen.Encode(); err == nil {
-			fmt.Printf("chaos plan (replay with -faultplan):\n%s\n\n", data)
+			fmt.Fprintf(s.out, "chaos plan (replay with -faultplan):\n%s\n\n", data)
 		}
 		plan.Events = append(plan.Events, gen.Events...)
 	}
-	opts := []soda.Option{soda.WithSeed(seed)}
-	if pcfg.segments > 1 {
-		topo := soda.StarTopology(pcfg.segments)
-		topo.ForwardDelay = pcfg.forwardDelay
+	if cfg.segments > 1 {
+		topo := soda.StarTopology(cfg.segments)
+		topo.ForwardDelay = cfg.forwardDelay
 		opts = append(opts, soda.WithTopology(topo))
 	}
-	if pcfg.parworkers > 1 {
-		opts = append(opts, soda.WithParallelSim(pcfg.parworkers))
+	if cfg.parworkers > 1 {
+		opts = append(opts, soda.WithParallelSim(cfg.parworkers))
 	}
-	if fcfg.loss > 0 {
-		opts = append(opts, soda.WithLoss(fcfg.loss))
+	if cfg.loss > 0 {
+		opts = append(opts, soda.WithLoss(cfg.loss))
 	}
 	if len(plan.Events) > 0 {
 		opts = append(opts, soda.WithFaultPlan(plan))
 	}
-	if fcfg.check || fcfg.loss > 0 || len(plan.Events) > 0 {
+	if cfg.check || cfg.loss > 0 || len(plan.Events) > 0 {
 		opts = append(opts, soda.WithInvariantChecks())
 	}
-	if ocfg.traceFile != "" {
-		ocfg.tracer = obs.NewTracerWith(obs.TraceConfig{Wire: ocfg.traceWire})
-		opts = append(opts, soda.WithTracer(ocfg.tracer))
+	if cfg.traceFile != "" {
+		s.tracer = obs.NewTracerWith(obs.TraceConfig{Wire: cfg.traceWire})
+		opts = append(opts, soda.WithTracer(s.tracer))
 	}
-	if ocfg.metrics {
-		ocfg.registry = obs.NewRegistry()
-		opts = append(opts, soda.WithMetrics(ocfg.registry))
+	if cfg.metrics {
+		s.metrics = obs.NewRegistry()
+		opts = append(opts, soda.WithMetrics(s.metrics))
 	}
 	nw := soda.NewNetwork(opts...)
-	if traceAll {
-		nw.Trace(os.Stdout)
+	if cfg.frames {
+		nw.Trace(s.out)
 	}
 	return nw, nil
 }
 
-// exportObs writes the Chrome trace file and prints the metrics digest,
-// whichever the flags asked for.
-func exportObs() error {
-	if ocfg.tracer != nil {
-		f, err := os.Create(ocfg.traceFile)
+// parsePeers decodes a "mid=host:port,mid=host:port" peer map.
+func parsePeers(s string) (map[soda.MID]string, error) {
+	peers := make(map[soda.MID]string)
+	if s == "" {
+		return peers, nil
+	}
+	for _, part := range strings.Split(s, ",") {
+		mid, addr, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok {
+			return nil, fmt.Errorf("bad -peers entry %q (want mid=host:port)", part)
+		}
+		id, err := strconv.ParseUint(mid, 10, 16)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("bad -peers MID %q: %v", mid, err)
 		}
-		if err := ocfg.tracer.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\ntrace: %d request spans written to %s (load in ui.perfetto.dev)\n",
-			len(ocfg.tracer.Spans()), ocfg.traceFile)
+		peers[soda.MID(id)] = addr
 	}
-	if ocfg.registry != nil {
-		fmt.Println("\nmetrics:")
-		ocfg.registry.WriteSummary(os.Stdout)
-	}
-	return nil
+	return peers, nil
 }
 
-// report prints the invariant checker's verdict and turns violations into a
-// non-zero exit. Requests still in flight at the cutoff are listed but not
-// fatal: the run stops mid-conversation by design.
-func report(nw *soda.Network) error {
-	if err := exportObs(); err != nil {
+// run drives the session to its end and reports it. A simulated run
+// follows the entry's stop rule and check; a socket run serves its one
+// machine.
+func (s *session) run() error {
+	if s.cfg.net == "tcp" {
+		return s.serve()
+	}
+	defer s.nw.Close() // end the run's parked processes once it is reported
+	err := s.entry.Drive(s.nw, s.cfg.duration)
+	if rerr := s.report(); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// serve runs this process's machine over the socket transport: until its
+// Done predicate holds, or — for a machine without one — until the network
+// has been quiet for a second or the duration cap elapses.
+func (s *session) serve() error {
+	nw, node, d := s.nw, s.node, s.cfg.duration
+	fmt.Fprintf(s.out, "%s: machine %d listening on %s\n", node.Boot, node.MID, nw.SocketAddr())
+	nw.StartSocket(node.Done)
+	if node.Done != nil {
+		if !nw.WaitSocket(d) {
+			nw.Close()
+			return fmt.Errorf("%s did not finish within %v", node.Boot, d)
+		}
+	} else if nw.WaitSocketIdle(time.Second, d) {
+		fmt.Fprintf(s.out, "%s: network idle; shutting down\n", node.Boot)
+	} else {
+		fmt.Fprintf(s.out, "%s: duration elapsed; shutting down\n", node.Boot)
+	}
+	if err := nw.Close(); err != nil {
+		return fmt.Errorf("socket shutdown leaked: %v", err)
+	}
+	if err := nw.SocketErr(); err != nil {
 		return err
 	}
-	if st := nw.ParStats(); pcfg.parworkers > 1 && !st.FallbackSequential {
-		fmt.Printf("\nparallel: %d workers, %d windows (%d exclusive steps), %d committed / %d staged events, %d gated ops\n",
+	return s.report()
+}
+
+// report exports the trace and metrics the flags ask for, then prints the
+// invariant checker's verdict and turns violations into a non-zero exit.
+// Requests still in flight at the cutoff are listed but not fatal: the run
+// stops mid-conversation by design.
+func (s *session) report() error {
+	if s.tracer != nil {
+		var buf bytes.Buffer
+		if err := s.tracer.WriteChromeTrace(&buf); err != nil {
+			return err
+		}
+		if err := os.WriteFile(s.cfg.traceFile, buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(s.out, "\ntrace: %d request spans written to %s (load in ui.perfetto.dev)\n",
+			len(s.tracer.Spans()), s.cfg.traceFile)
+	}
+	if s.metrics != nil {
+		fmt.Fprintln(s.out, "\nmetrics:")
+		s.metrics.WriteSummary(s.out)
+	}
+	if st := s.nw.ParStats(); s.cfg.parworkers > 1 && !st.FallbackSequential {
+		fmt.Fprintf(s.out, "\nparallel: %d workers, %d windows (%d exclusive steps), %d committed / %d staged events, %d gated ops\n",
 			st.Workers, st.Windows, st.ExclusiveSteps, st.Committed, st.Staged, st.GatedOps)
 	}
-	ch := nw.Invariants()
+	ch := s.nw.Invariants()
 	if ch == nil {
 		return nil
 	}
 	frames, corrupted := ch.Frames()
-	fmt.Printf("\ninvariants: %d requests tracked, %d frames delivered (%d corrupted)\n",
+	fmt.Fprintf(s.out, "\ninvariants: %d requests tracked, %d frames delivered (%d corrupted)\n",
 		ch.Requests(), frames, corrupted)
 	if u := ch.Unresolved(); len(u) > 0 {
-		fmt.Printf("invariants: %d requests still in flight at cutoff\n", len(u))
+		fmt.Fprintf(s.out, "invariants: %d requests still in flight at cutoff\n", len(u))
 	}
 	if v := ch.Finish(); len(v) > 0 {
-		for _, s := range v {
-			fmt.Println("  VIOLATION:", s)
+		for _, line := range v {
+			fmt.Fprintln(s.out, "  VIOLATION:", line)
 		}
 		return fmt.Errorf("%d invariant violations", len(v))
 	}
-	fmt.Println("invariants: all green")
+	fmt.Fprintln(s.out, "invariants: all green")
 	return nil
-}
-
-func runPhilosophers(seed int64, d time.Duration) error {
-	ring := []soda.MID{2, 3, 4, 5, 6}
-	nw, err := newNetwork(seed, d,
-		[]soda.MID{1, 2, 3, 4, 5, 6, 7},
-		[]faults.CrashTarget{{Node: 7, Program: "detector"}})
-	if err != nil {
-		return err
-	}
-	defer nw.Close() // end the run's parked processes once it is reported
-	nw.Register("timesrv", timesrv.Program(16))
-	nw.MustAddNode(1)
-	nw.MustBoot(1, "timesrv")
-	meals := make([]int, len(ring))
-	for i, mid := range ring {
-		i := i
-		left := ring[(i-1+len(ring))%len(ring)]
-		name := fmt.Sprintf("phil%d", i)
-		nw.Register(name, philo.Philosopher(left, 0, 50*time.Millisecond, 30*time.Millisecond,
-			func(c *soda.Client, meal int) {
-				meals[i] = meal
-				fmt.Printf("t=%8v  philosopher %d finished meal %d\n", c.Now(), i, meal)
-			}))
-		nw.MustAddNode(mid)
-		nw.MustBoot(mid, name)
-	}
-	nw.Register("detector", philo.Detector(ring, 200*time.Millisecond, func(v soda.MID) {
-		fmt.Printf("            *** deadlock detected; philosopher on machine %d gives back its fork ***\n", v)
-	}))
-	nw.MustAddNode(7)
-	nw.MustBoot(7, "detector")
-	if err := nw.Run(d); err != nil {
-		return err
-	}
-	fmt.Printf("\nafter %v of virtual time, meals eaten: %v\n", d, meals)
-	return report(nw)
-}
-
-func runFileServer(seed int64, d time.Duration) error {
-	nw, err := newNetwork(seed, d,
-		[]soda.MID{1, 2},
-		[]faults.CrashTarget{{Node: 1, Program: "fs"}})
-	if err != nil {
-		return err
-	}
-	defer nw.Close() // end the run's parked processes once it is reported
-	nw.Register("fs", fileserver.Server(map[string][]byte{
-		"motd": []byte("welcome to the SODA file service"),
-	}, 32))
-	nw.Register("client", soda.Program{
-		Task: func(c *soda.Client) {
-			srv, ok := fileserver.Find(c)
-			if !ok {
-				fmt.Println("no file server found")
-				return
-			}
-			fmt.Printf("t=%8v  discovered file server on machine %d\n", c.Now(), srv)
-			f, err := fileserver.Open(c, srv, "motd")
-			if err != nil {
-				fmt.Println("open:", err)
-				return
-			}
-			data, _ := f.Read(64)
-			fmt.Printf("t=%8v  read %q\n", c.Now(), data)
-			g, _ := fileserver.Open(c, srv, "journal")
-			_ = g.Write([]byte("first entry"))
-			_ = g.Seek(0)
-			back, _ := g.Read(64)
-			fmt.Printf("t=%8v  wrote and re-read %q\n", c.Now(), back)
-			_ = g.Close()
-			_ = f.Close()
-			fmt.Printf("t=%8v  session closed\n", c.Now())
-		},
-	})
-	nw.MustAddNode(1)
-	nw.MustAddNode(2)
-	nw.MustBoot(1, "fs")
-	nw.MustBoot(2, "client")
-	if err := nw.Run(d); err != nil {
-		return err
-	}
-	return report(nw)
-}
-
-func runBoot(seed int64, d time.Duration) error {
-	nw, err := newNetwork(seed, d, []soda.MID{1, 2}, nil)
-	if err != nil {
-		return err
-	}
-	defer nw.Close() // end the run's parked processes once it is reported
-	nw.Register("child", soda.Program{
-		Init: func(c *soda.Client, parent soda.MID) {
-			fmt.Printf("t=%8v  child booted on machine %d (parent %d)\n", c.Now(), c.MID(), parent)
-		},
-		Task: func(c *soda.Client) {
-			for {
-				c.Hold(100 * time.Millisecond)
-			}
-		},
-	})
-	nw.Register("parent", soda.Program{
-		Task: func(c *soda.Client) {
-			free := c.DiscoverAll(soda.BootPattern, 4)
-			fmt.Printf("t=%8v  free machines: %v\n", c.Now(), free)
-			if len(free) == 0 {
-				return
-			}
-			loadPat, err := soda.BootRemote(c, free[0], soda.BootPattern, "child")
-			if err != nil {
-				fmt.Println("boot failed:", err)
-				return
-			}
-			fmt.Printf("t=%8v  child started; load pattern %v held as kill capability\n", c.Now(), loadPat)
-			c.Hold(500 * time.Millisecond)
-			if soda.KillChild(c, free[0], loadPat) {
-				fmt.Printf("t=%8v  child killed via the load pattern\n", c.Now())
-			}
-			again := c.DiscoverAll(soda.BootPattern, 4)
-			fmt.Printf("t=%8v  machine bootable again: %v\n", c.Now(), again)
-		},
-	})
-	nw.MustAddNode(1)
-	nw.MustAddNode(2)
-	nw.MustBoot(1, "parent")
-	if err := nw.Run(d); err != nil {
-		return err
-	}
-	return report(nw)
-}
-
-func runCrash(seed int64, d time.Duration) error {
-	nw, err := newNetwork(seed, d, []soda.MID{1, 2}, nil)
-	if err != nil {
-		return err
-	}
-	defer nw.Close() // end the run's parked processes once it is reported
-	pat := soda.WellKnownPattern(0o42)
-	nw.Register("server", soda.Program{
-		Init: func(c *soda.Client, _ soda.MID) { _ = c.Advertise(pat) },
-		// Never accepts: the request sits delivered until the crash.
-	})
-	nw.Register("client", soda.Program{
-		Task: func(c *soda.Client) {
-			fmt.Printf("t=%8v  issuing request to the (soon to crash) server\n", c.Now())
-			res := c.BSignal(soda.ServerSig{MID: 2, Pattern: pat}, soda.OK)
-			fmt.Printf("t=%8v  request completed with status %v (probes detected the crash)\n", c.Now(), res.Status)
-		},
-	})
-	nw.MustAddNode(1)
-	nw.MustAddNode(2)
-	nw.MustBoot(2, "server")
-	nw.MustBoot(1, "client")
-	nw.At(300*time.Millisecond, func() {
-		fmt.Printf("t=%8v  *** server machine crashes ***\n", 300*time.Millisecond)
-		nw.Node(2).Crash()
-	})
-	if err := nw.Run(d); err != nil {
-		return err
-	}
-	return report(nw)
 }

@@ -2,11 +2,12 @@
 // the SODA kernel API: the deterministic simulated bus and the real TCP
 // socket transport (DESIGN.md §16).
 //
-// Each registered scenario runs on both backends. From every run the
-// harness extracts the backend-independent observable — the per-node
-// sequence of primitive lifecycle events from the kernel observer stream,
-// stripped of timestamps and transaction ids — and checks that the socket
-// run's ordering is a linearization the simulation oracle admits:
+// Each count-based entry of the scenario catalogue runs on both backends.
+// From every run the harness extracts the backend-independent observable —
+// the per-node sequence of primitive lifecycle events from the kernel
+// observer stream, stripped of timestamps and transaction ids — and checks
+// that the socket run's ordering is a linearization the simulation oracle
+// admits:
 //
 //   - Lifecycle events (advertise, unadvertise, die, crash, reboot) must
 //     appear in exactly the same per-node order on both backends: they

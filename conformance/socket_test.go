@@ -7,13 +7,14 @@ import (
 
 	"soda"
 	"soda/internal/core"
+	"soda/scenario"
 )
 
 // socketNode is one machine of a socket-backed scenario run: its own
 // soda.Network (one kernel, one TCP endpoint, one driver goroutine) and
 // its own Recorder, so every observer append happens on that driver.
 type socketNode struct {
-	spec NodeSpec
+	spec scenario.Node
 	rec  *Recorder
 	nw   *soda.Network
 }
@@ -25,9 +26,9 @@ type socketNode struct {
 // detected by posting the Done predicates onto their own driver
 // goroutines (never by sleeping a guessed duration), and CloseSocket's
 // leak check asserts every socket goroutine drained.
-func runSocket(t *testing.T, sc Scenario) (*Transcript, *Run) {
+func runSocket(t *testing.T, sc scenario.Scenario) (*Transcript, scenario.Run) {
 	t.Helper()
-	run := sc.Build()
+	run := sc.Build(sc.Nodes, sc.Limit, nil)
 	nodes := make([]*socketNode, 0, len(run.Nodes))
 	closeAll := func() {
 		for _, n := range nodes {
@@ -40,7 +41,7 @@ func runSocket(t *testing.T, sc Scenario) (*Transcript, *Run) {
 		rec := &Recorder{}
 		nw := soda.NewNetwork(soda.WithSocketTransport("127.0.0.1:0"))
 		nw.Subscribe(soda.Subscriber{Kernel: rec.Observe})
-		registerPrograms(nw, run)
+		run.Register(nw)
 		nw.MustAddNode(ns.MID)
 		nodes = append(nodes, &socketNode{spec: ns, rec: rec, nw: nw})
 	}
@@ -64,7 +65,7 @@ func runSocket(t *testing.T, sc Scenario) (*Transcript, *Run) {
 	for _, n := range nodes {
 		n.nw.StartSocket(nil)
 	}
-	deadline := time.Now().Add(sc.MaxWall)
+	deadline := time.Now().Add(sc.Limit)
 	for !socketAllDone(t, nodes) {
 		for _, n := range nodes {
 			if err := n.nw.SocketErr(); err != nil {
@@ -74,7 +75,7 @@ func runSocket(t *testing.T, sc Scenario) (*Transcript, *Run) {
 		}
 		if time.Now().After(deadline) {
 			closeAll()
-			t.Fatalf("conformance: %s did not complete within %v on the socket backend", sc.Name, sc.MaxWall)
+			t.Fatalf("conformance: %s did not complete within %v on the socket backend", sc.Name, sc.Limit)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -142,10 +143,10 @@ func TestSocketConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket legs are skipped in -short: they open real sockets and run on the wall clock")
 	}
-	for _, sc := range Scenarios() {
+	for _, sc := range scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			simTr, err := RunSim(sc, 1)
+			simTr, err := runSim(sc, 1)
 			if err != nil {
 				t.Fatalf("sim oracle run failed: %v", err)
 			}

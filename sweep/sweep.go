@@ -12,6 +12,8 @@
 package sweep
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -25,13 +27,14 @@ import (
 	"soda/internal/deltat"
 	"soda/internal/sim"
 	"soda/obs"
+	"soda/scenario"
 )
 
 // Spec describes a sweep matrix: the cross product of Seeds × PlanSeeds ×
 // Nodes for one scenario. The zero values of the optional fields mean
 // "fault-free" (PlanSeeds) and "bare" (Instrument, Checks).
 type Spec struct {
-	// Scenario names a registered workload (see Scenarios()).
+	// Scenario names a scenario catalogue entry (scenario.Names).
 	Scenario string `json:"scenario"`
 	// Seeds are the simulation seeds; one run per seed per cell.
 	Seeds []int64 `json:"seeds"`
@@ -127,8 +130,9 @@ type RunResult struct {
 	// Profile is the run's full observability profile (Spec.Instrument
 	// only); byte-deterministic like everything else here.
 	Profile *obs.Profile `json:"profile,omitempty"`
-	// Err records a run that failed to complete (event-limit blowout);
-	// the sweep still reports every other cell.
+	// Err records a run that failed: an event-limit blowout, or a
+	// count-based entry that missed its horizon or its Check. The sweep
+	// still reports every other cell.
 	Err string `json:"error,omitempty"`
 }
 
@@ -213,9 +217,9 @@ func (r *Report) Write(w io.Writer) error {
 
 // Keys expands the spec's matrix in report order, validating it first.
 func (s Spec) Keys() ([]RunKey, error) {
-	sc, ok := scenarios[s.Scenario]
-	if !ok {
-		return nil, fmt.Errorf("sweep: unknown scenario %q (have %v)", s.Scenario, Scenarios())
+	sc, err := scenario.Lookup(s.Scenario)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	if len(s.Seeds) == 0 || len(s.Nodes) == 0 {
 		return nil, fmt.Errorf("sweep: empty matrix: need at least one seed and one node count")
@@ -246,8 +250,8 @@ func (s Spec) Keys() ([]RunKey, error) {
 	}
 	var keys []RunKey
 	for _, n := range s.Nodes {
-		if n < sc.MinNodes {
-			return nil, fmt.Errorf("sweep: scenario %q needs at least %d nodes, got %d", s.Scenario, sc.MinNodes, n)
+		if err := sc.Fits(n); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
 		}
 		for _, seed := range s.Seeds {
 			for _, ps := range planSeeds {
@@ -278,8 +282,9 @@ func Run(spec Spec, workers int) (*Report, error) {
 
 // runOne executes a single, fully isolated simulation.
 func runOne(spec Spec, key RunKey) RunResult {
-	sc := scenarios[key.Scenario]
-	opts := []soda.Option{soda.WithSeed(key.Seed)}
+	sc, _ := scenario.Lookup(key.Scenario)
+	run := sc.Build(key.Nodes, spec.Horizon, nil)
+	opts := append(make([]soda.Option, 0, 8), soda.WithSeed(key.Seed))
 	if spec.Segments > 1 {
 		topo := soda.StarTopology(spec.Segments)
 		topo.ForwardDelay = spec.ForwardDelay
@@ -314,13 +319,16 @@ func runOne(spec Spec, key RunKey) RunResult {
 	nw := soda.NewNetwork(opts...)
 	h := fnv.New64a()
 	nw.Trace(h)
-	sc.Build(nw, key.Nodes, spec.Horizon)
+	run.Install(nw)
 
 	res := RunResult{Key: key}
-	if err := nw.Run(spec.Horizon); err != nil {
+	if err := run.Drive(nw, spec.Horizon); err != nil {
 		res.Err = err.Error()
 	}
-	res.TraceHash = fmt.Sprintf("%016x", h.Sum64())
+	// The hash in hex, with no fmt argument to box: one allocation a run.
+	var sum [8]byte
+	binary.BigEndian.PutUint64(sum[:], h.Sum64())
+	res.TraceHash = string(hex.AppendEncode(make([]byte, 0, 16), sum[:]))
 	res.VirtualUS = nw.Now().Microseconds()
 	st := nw.Stats()
 	res.FramesSent = st.FramesSent
