@@ -171,9 +171,12 @@ func perform(c *soda.Client, st *srvState, o op) {
 		}
 		f.offset = int(binary.BigEndian.Uint32(res.Data))
 	case OpClose:
-		c.AcceptSignal(o.asker, soda.OK)
+		// Retire the descriptor before the CLOSE completes: a requester
+		// that has seen its close done must find the pattern gone, at
+		// whatever speed the ACCEPT and this follow-up run.
 		delete(st.byPatt, f.patt)
 		_ = c.Unadvertise(f.patt)
+		c.AcceptSignal(o.asker, soda.OK)
 	default:
 		c.Accept(o.asker, -1, nil, 0)
 	}

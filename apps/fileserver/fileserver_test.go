@@ -2,15 +2,16 @@ package fileserver
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
 	"soda"
 )
 
-func runFS(t *testing.T, initial map[string][]byte, clients map[soda.MID]func(c *soda.Client)) {
+func runFS(t *testing.T, initial map[string][]byte, clients map[soda.MID]func(c *soda.Client), opts ...soda.Option) {
 	t.Helper()
-	nw := soda.NewNetwork()
+	nw := soda.NewNetwork(opts...)
 	nw.Register("fs", Server(initial, 32))
 	nw.MustAddNode(1)
 	nw.MustBoot(1, "fs")
@@ -71,6 +72,54 @@ func TestOpenWriteSeekRead(t *testing.T) {
 	})
 	if !done {
 		t.Fatal("client never finished")
+	}
+}
+
+// TestReadAfterCloseAtAnyKernelSpeed closes a descriptor and reads through
+// it again with the kernel's transport costs scaled by 0 and by 4: CLOSE
+// must retire the descriptor before it completes, whatever the relative
+// speed of the ACCEPT and of the server's follow-up, so the read fails
+// cleanly.
+func TestReadAfterCloseAtAnyKernelSpeed(t *testing.T) {
+	for _, scale := range []time.Duration{0, 4} {
+		t.Run(fmt.Sprintf("x%d", scale), func(t *testing.T) {
+			cfg := soda.DefaultNodeConfig()
+			costs := &cfg.Transport.Costs
+			costs.ProtocolPerFrame *= scale
+			costs.ConnTimerPerFrame *= scale
+			costs.RetransTimer *= scale
+			costs.CopyPerByte *= scale
+			done := false
+			runFS(t, nil, map[soda.MID]func(c *soda.Client){
+				2: func(c *soda.Client) {
+					srv, ok := Find(c)
+					if !ok {
+						t.Error("file server not found")
+						return
+					}
+					f, err := Open(c, srv, "foo")
+					if err != nil {
+						t.Errorf("open: %v", err)
+						return
+					}
+					if err := f.Write([]byte("bar")); err != nil {
+						t.Errorf("write: %v", err)
+						return
+					}
+					if err := f.Close(); err != nil {
+						t.Errorf("close: %v", err)
+						return
+					}
+					if got, err := f.Read(4); err == nil {
+						t.Errorf("read after close succeeded with %q", got)
+					}
+					done = true
+				},
+			}, soda.WithNodeConfig(cfg))
+			if !done {
+				t.Fatal("client never finished")
+			}
+		})
 	}
 }
 

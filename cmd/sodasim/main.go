@@ -272,12 +272,13 @@ func (s *session) run() error {
 }
 
 // serve runs this process's machine over the socket transport: until its
-// Done predicate holds, or — for a machine without one — until the network
-// has been quiet for a second or the duration cap elapses.
+// Done predicate has held for a settle period, or — for a machine without
+// one — until the network has been quiet for a second or the duration cap
+// elapses.
 func (s *session) serve() error {
 	nw, node, d := s.nw, s.node, s.cfg.duration
 	fmt.Fprintf(s.out, "%s: machine %d listening on %s\n", node.Boot, node.MID, nw.SocketAddr())
-	nw.StartSocket(node.Done)
+	nw.StartSocket(settled(nw, node.Done))
 	if node.Done != nil {
 		if !nw.WaitSocket(d) {
 			nw.Close()
@@ -295,6 +296,33 @@ func (s *session) serve() error {
 		return err
 	}
 	return s.report()
+}
+
+// socketSettle is how long a finished socket machine keeps serving before
+// its driver parks.
+const socketSettle = 100 * time.Millisecond
+
+// settled turns a machine's Done predicate into the driver's park
+// condition: done has held for socketSettle of the network's clock. A
+// parked driver stops answering its peers, and a machine whose part is
+// over still owes them the tail of its conversation — the deferred
+// acknowledgement of the last reply, or the answer to a retransmission of
+// it. The driver evaluates the predicate on its own goroutine, in kernel
+// context, so it may read the clock and node state there.
+func settled(nw *soda.Network, done func() bool) func() bool {
+	if done == nil {
+		return nil
+	}
+	since := time.Duration(-1)
+	return func() bool {
+		switch {
+		case !done():
+			return false
+		case since < 0:
+			since = nw.Now()
+		}
+		return nw.Now()-since >= socketSettle
+	}
 }
 
 // report exports the trace and metrics the flags ask for, then prints the

@@ -111,14 +111,17 @@ func TestFlagsBelongToTheirBackend(t *testing.T) {
 // TestSocketRoles runs the documented two-terminal demo — both roles of
 // the file-service entry, each as its own socket network on 127.0.0.1:0 —
 // through the same open/run path as the command, with the observability
-// flags on.
+// flags on. The client, which finishes first, must not close before the
+// tail of its conversation has left: when the last reply travels as DATA,
+// its deferred acknowledgement goes out after "session closed", or the
+// file server retransmits the reply until it declares the client dead.
 func TestSocketRoles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket legs are skipped in -short: they open real sockets and run on the wall clock")
 	}
 	trace := filepath.Join(t.TempDir(), "trace.json")
 	var fsOut, clientOut bytes.Buffer
-	fs, err := open(parse([]string{"-net", "tcp", "-scenario", "fileservice", "-role", "fs", "-trace", trace, "-duration", "20s"}), &fsOut)
+	fs, err := open(parse([]string{"-net", "tcp", "-scenario", "fileservice", "-role", "fs", "-trace", trace, "-metrics", "-duration", "20s"}), &fsOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +147,9 @@ func TestSocketRoles(t *testing.T) {
 	}
 	if !strings.Contains(fsOut.String(), "network idle; shutting down") {
 		t.Errorf("fs did not stop on an idle network:\n%s", fsOut.String())
+	}
+	if !strings.Contains(fsOut.String(), "peer_dead=0") {
+		t.Errorf("the file server declared the finished client dead:\n%s", fsOut.String())
 	}
 	checkTrace(t, trace)
 }

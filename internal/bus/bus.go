@@ -227,6 +227,8 @@ type Bus struct {
 	// must not reorder a link (the alternating-bit transport assumes FIFO
 	// links, as the physical medium provides).
 	linkFloor map[linkKey]sim.Time
+	// free recycles delivery records (see delivery).
+	free []*delivery
 }
 
 type linkKey struct{ src, dst frame.MID }
@@ -533,27 +535,65 @@ func (b *Bus) scheduleDelivery(src frame.MID, target *Iface, raw []byte, at sim.
 
 // deliver schedules the actual handoff to the receiving interface.
 func (b *Bus) deliver(src frame.MID, target *Iface, buf []byte, at sim.Time, corrupted bool) {
-	//lint:allow noalloc (counted: one delivery closure per in-flight frame)
-	b.k.At(at, func() {
-		if !target.up {
-			b.stats.FramesDroppedDown++
-			return
-		}
-		if corrupted && target.bridge {
-			// A gateway checksums on receive and never forwards damage;
-			// dropping before the delivery emit keeps the checker's view
-			// honest (the relayed copy would otherwise arrive marked clean).
-			b.stats.BridgeCorruptDrops++
-			return
-		}
-		b.stats.FramesDelivered++
-		if b.hooks.Delivery != nil {
-			//lint:allow noalloc (observer: nil-guarded delivery emit, absent on measured runs)
-			b.hooks.Delivery(DeliveryEvent{At: b.k.Now(), Src: src, Dst: target.mid, Raw: buf, Corrupted: corrupted})
-		}
-		//lint:allow noalloc (indirect: recv is the transport's receive, itself a //lint:hotpath root)
-		target.recv(buf)
-	})
+	d := b.newDelivery()
+	d.src, d.target, d.buf, d.corrupted = src, target, buf, corrupted
+	b.k.At(at, d.fire)
+}
+
+// delivery is a frame in flight toward one receiver. Records live on their
+// bus's freelist: fire is bound once when a record is first allocated, and
+// a record goes back to the freelist as it fires, so the steady state
+// delivers without allocating.
+type delivery struct {
+	b         *Bus
+	fire      func()
+	src       frame.MID
+	target    *Iface
+	buf       []byte
+	corrupted bool
+}
+
+// newDelivery takes a delivery record from the freelist, or allocates one.
+func (b *Bus) newDelivery() *delivery {
+	if n := len(b.free); n > 0 {
+		d := b.free[n-1]
+		b.free = b.free[:n-1]
+		return d
+	}
+	//lint:allow noalloc (amortized: one record per new peak of frames in flight)
+	d := &delivery{b: b}
+	//lint:allow noalloc (amortized: bound once per record; the record is reused)
+	d.fire = d.run
+	return d
+}
+
+// run hands the frame to its receiver. The record is back on the freelist
+// before the receiver runs.
+//
+//lint:hotpath
+func (d *delivery) run() {
+	b, src, target, buf, corrupted := d.b, d.src, d.target, d.buf, d.corrupted
+	d.target, d.buf = nil, nil
+	//lint:allow noalloc (amortized: the freelist grows to the peak number of frames in flight)
+	b.free = append(b.free, d)
+	if !target.up {
+		b.stats.FramesDroppedDown++
+		return
+	}
+	if corrupted && target.bridge {
+		// A gateway checksums on receive and never forwards damage;
+		// dropping before the delivery emit keeps the checker's view
+		// honest (the relayed copy would otherwise arrive marked clean).
+		b.stats.BridgeCorruptDrops++
+		return
+	}
+	b.stats.FramesDelivered++
+	if b.hooks.Delivery != nil {
+		//lint:allow noalloc (observer: nil-guarded delivery emit, absent on measured runs)
+		b.hooks.Delivery(DeliveryEvent{At: b.k.Now(), Src: src, Dst: target.mid, Raw: buf, Corrupted: corrupted})
+	}
+	//lint:allow noalloc (indirect: recv is the transport's receive, itself a //lint:hotpath root)
+	target.recv(buf)
 }
 
 // corrupt damages buf in place with one to three random byte flips, then

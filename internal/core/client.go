@@ -70,6 +70,22 @@ type Client struct {
 	completions []Event                   // queued completion interrupts
 	intercept   map[frame.TID]func(Event) // blocking-request completions
 
+	// next is the event of the one dispatch that busy admits at a time,
+	// nextHook its runtime interception (nil for the program handler).
+	// fireDispatch and runHandler are dispatchNow and handle, bound once
+	// at boot so that a dispatch schedules and spawns without allocating.
+	next         Event
+	nextHook     func(Event)
+	fireDispatch func()
+	runHandler   func(*sim.Proc)
+	// callRes and callOver hold the outcome of the task's one blocking
+	// request in flight; callHook (endCall) and callDone (callEnded) are
+	// its interception and wait condition, bound once at boot.
+	callRes  Event
+	callOver bool
+	callHook func(Event)
+	callDone func() bool
+
 	taskParked bool
 	dead       bool
 
@@ -125,6 +141,8 @@ func (n *Node) startClientWithParams(prog Program, name string, parent frame.MID
 		open:        true, // the handler is OPEN at boot (§3.7.6)
 		intercept:   make(map[frame.TID]func(Event)),
 	}
+	c.fireDispatch, c.runHandler = c.dispatchNow, c.handle
+	c.callHook, c.callDone = c.endCall, c.callEnded
 	n.client = c
 	c.taskProc = n.k.Spawn(fmt.Sprintf("client/%s@%d", name, n.mid), func(p *sim.Proc) {
 		defer c.recoverKill()
@@ -184,7 +202,9 @@ func (c *Client) MID() frame.MID { return c.node.mid }
 func (c *Client) Name() string { return c.name }
 
 // Current returns the event being handled, or nil outside the handler.
-// ACCEPT_CURRENT-style helpers use it (§4.1.2).
+// ACCEPT_CURRENT-style helpers use it (§4.1.2). The client reuses the
+// event's storage for its next invocation, so the pointer is good only
+// until the handler returns.
 func (c *Client) Current() *Event { return c.curEvent }
 
 // InHandler reports whether the calling code runs in handler context.
@@ -260,40 +280,52 @@ func (c *Client) deliverCompletion(ev Event) {
 }
 
 // dispatch runs one handler invocation (or a runtime interception) after
-// the context-switch cost. busy is already set.
+// the context-switch cost. busy is already set, and stays set until the
+// invocation ends, so the event waits in c.next.
 func (c *Client) dispatch(ev Event, hook func(Event)) {
 	cost := c.node.cfg.Costs.CtxSwitch
 	c.node.totals.CtxSwitch += cost
-	//lint:allow noalloc (counted: one dispatch closure per handler invocation)
-	c.k.After(cost, func() {
-		if c.dead {
-			return
-		}
-		if hook != nil {
-			//lint:allow noalloc (indirect: blocking-call interception, created at a //lint:hotpath root)
-			hook(ev)
-			c.endHandler()
-			return
-		}
-		//lint:allow noalloc (counted: one handler process per invocation)
-		c.k.Spawn(c.handlerName, func(p *sim.Proc) {
-			defer c.recoverKill()
-			if c.dead {
-				return
-			}
-			c.handlerProc = p
-			c.inHandler = true
-			c.curEvent = &ev
-			if c.prog.Handler != nil {
-				//lint:allow noalloc (indirect: user program handler, outside the kernel's budget)
-				c.prog.Handler(c, ev)
-			}
-			c.curEvent = nil
-			c.inHandler = false
-			c.handlerProc = nil
-			c.endHandler()
-		})
-	})
+	c.next, c.nextHook = ev, hook
+	c.k.After(cost, c.fireDispatch)
+}
+
+// dispatchNow is the pending dispatch, once its context switch has
+// elapsed: an interception runs here, the program handler in a process of
+// its own.
+//
+//lint:hotpath
+func (c *Client) dispatchNow() {
+	if c.dead {
+		return
+	}
+	if hook := c.nextHook; hook != nil {
+		//lint:allow noalloc (indirect: blocking-call interception, bound at boot (endCall, a //lint:hotpath root) or registered through OnCompletion)
+		hook(c.next)
+		c.endHandler()
+		return
+	}
+	c.k.Spawn(c.handlerName, c.runHandler)
+}
+
+// handle is the body of a handler process.
+//
+//lint:hotpath
+func (c *Client) handle(p *sim.Proc) {
+	defer c.recoverKill()
+	if c.dead {
+		return
+	}
+	c.handlerProc = p
+	c.inHandler = true
+	c.curEvent = &c.next
+	if c.prog.Handler != nil {
+		//lint:allow noalloc (indirect: user program handler, outside the kernel's budget)
+		c.prog.Handler(c, c.next)
+	}
+	c.curEvent = nil
+	c.inHandler = false
+	c.handlerProc = nil
+	c.endHandler()
 }
 
 // endHandler implements ENDHANDLER (§3.3.4): apply deferred OPEN/CLOSE,
@@ -623,21 +655,30 @@ func (c *Client) blockingCall(dst frame.ServerSig, arg int32, put []byte, getSiz
 			panic(fmt.Sprintf("core: blocking request: %v", err))
 		}
 	}
-	var res Event
-	done := false
-	//lint:allow noalloc (counted: one interception record and closure per blocking call)
-	c.intercept[tid] = func(ev Event) {
-		res = ev
-		done = true
-	}
-	//lint:allow noalloc (counted: one completion-wait closure per blocking call)
-	c.WaitUntil(func() bool { return done })
+	c.callOver = false
+	//lint:allow noalloc (amortized: entries are deleted on completion, so the map stays at its peak size)
+	c.intercept[tid] = c.callHook
+	c.WaitUntil(c.callDone)
+	res := c.callRes
 	st := res.Status
 	if st == StatusSuccess && res.Arg < 0 {
 		st = StatusRejected // the REJECT convention (§4.1.2)
 	}
 	return CallResult{Status: st, Arg: res.Arg, Data: res.Data, PutN: res.PutN, GetN: res.GetN, TID: tid}
 }
+
+// endCall is the interception of a blocking request's completion.
+//
+//lint:hotpath
+func (c *Client) endCall(ev Event) {
+	c.callRes = ev
+	c.callOver = true
+}
+
+// callEnded is the wait condition of a blocking request.
+//
+//lint:hotpath
+func (c *Client) callEnded() bool { return c.callOver }
 
 // BSignal is the blocking SIGNAL (B_SIGNAL, §4.1.1).
 func (c *Client) BSignal(dst frame.ServerSig, arg int32) CallResult {

@@ -67,7 +67,7 @@ func (n *Node) issueRequest(dst frame.ServerSig, arg int32, put []byte, getSize 
 		putData: append([]byte(nil), put...),
 		getSize: getSize,
 	}
-	//lint:allow noalloc (counted: outstanding map entry, deleted on completion)
+	//lint:allow noalloc (amortized: entries are deleted on completion, so the map stays at its peak size)
 	n.outstanding[tid] = o
 	if n.cfg.Observer != nil {
 		n.observe(ObsEvent{Kind: ObsIssue, Sig: frame.RequesterSig{MID: n.mid, TID: tid}, Dst: dst})
@@ -77,8 +77,7 @@ func (n *Node) issueRequest(dst frame.ServerSig, arg int32, put []byte, getSize 
 		n.startDiscover(o)
 		return tid, nil
 	}
-	//lint:allow noalloc (counted: one Request message per REQUEST)
-	msg := &frame.Request{
+	o.req = frame.Request{
 		TID:     tid,
 		Pattern: dst.Pattern,
 		Arg:     arg,
@@ -87,27 +86,19 @@ func (n *Node) issueRequest(dst frame.ServerSig, arg int32, put []byte, getSize 
 		HasData: len(put) > 0,
 		Data:    o.putData,
 	}
-	full := frame.Encode(msg)
-	var retrans []byte
-	if msg.HasData && n.ep.Config().Window <= 1 {
+	var full, retrans []byte
+	if o.req.HasData && n.ep.Config().Window <= 1 {
 		// Retransmissions never carry the data again (§5.2.3); a server
 		// that needs it asks via NeedData at ACCEPT time. The windowed
 		// transport retransmits individual fragments verbatim instead, so
 		// the stripped encoding is never built there.
-		stripped := *msg
-		stripped.HasData = false
-		stripped.Data = nil
-		retrans = frame.Encode(&stripped)
+		full, retrans = frame.EncodeRequest(&o.req)
+	} else {
+		full = frame.Encode(&o.req)
 	}
-	epoch := n.epoch
-	//lint:allow noalloc (counted: one send-completion closure per REQUEST)
-	cb := func(res deltat.Result) {
-		if epoch != n.epoch {
-			return
-		}
-		n.requestSendDone(o, res)
-	}
-	n.ep.Send(dst.MID, full, retrans, cb)
+	r := n.newPending(pendingRequestSent)
+	r.o = o
+	n.ep.Send(dst.MID, full, retrans, r.sent)
 	return tid, nil
 }
 
@@ -195,49 +186,53 @@ func (n *Node) completeRequest(o *outRequest, st Status, arg int32, data []byte,
 // request — report a crash.
 func (n *Node) scheduleProbe(o *outRequest) {
 	o.probeGen++
-	gen := o.probeGen
+	r := n.newPending(pendingProbe)
+	r.o, r.gen = o, o.probeGen
+	n.k.After(n.cfg.ProbeInterval, r.fire)
+}
+
+// probe sends one request-monitoring probe for o, unless the request
+// completed or was re-armed since the probe timer gen was scheduled.
+func (n *Node) probe(o *outRequest, gen int) {
+	if o.probeGen != gen {
+		return
+	}
+	if _, live := n.outstanding[o.tid]; !live {
+		return
+	}
 	epoch := n.epoch
-	//lint:allow noalloc (counted: one probe-arm closure per delivered REQUEST)
-	n.k.After(n.cfg.ProbeInterval, func() {
+	//lint:allow noalloc (cold: probes fire only when the server is slow to accept)
+	n.ep.Send(o.dst.MID, frame.Encode(&frame.Probe{TID: o.tid}), nil, func(res deltat.Result) {
 		if epoch != n.epoch || o.probeGen != gen {
 			return
 		}
 		if _, live := n.outstanding[o.tid]; !live {
 			return
 		}
-		//lint:allow noalloc (cold: probes fire only when the server is slow to accept)
-		n.ep.Send(o.dst.MID, frame.Encode(&frame.Probe{TID: o.tid}), nil, func(res deltat.Result) {
-			if epoch != n.epoch || o.probeGen != gen {
-				return
-			}
-			if _, live := n.outstanding[o.tid]; !live {
-				return
-			}
-			alive := false
-			if res.Kind == deltat.ResultAcked {
-				if msg, err := frame.Decode(res.Reply); err == nil {
-					if pr, ok := msg.(*frame.ProbeReply); ok && pr.TID == o.tid {
-						alive = pr.Alive
-					}
+		alive := false
+		if res.Kind == deltat.ResultAcked {
+			if msg, err := frame.Decode(res.Reply); err == nil {
+				if pr, ok := msg.(*frame.ProbeReply); ok && pr.TID == o.tid {
+					alive = pr.Alive
 				}
-				if !alive {
-					// The server answered but disowned the request: it
-					// crashed and rebooted. Not escapable by rebooting
-					// fast (§3.6.2).
-					n.completeRequest(o, StatusCrashed, 0, nil, 0, 0)
-					return
-				}
-				o.probeFails = 0
-				n.scheduleProbe(o)
-				return
 			}
-			o.probeFails++
-			if o.probeFails >= n.cfg.ProbeFailLimit {
+			if !alive {
+				// The server answered but disowned the request: it
+				// crashed and rebooted. Not escapable by rebooting
+				// fast (§3.6.2).
 				n.completeRequest(o, StatusCrashed, 0, nil, 0, 0)
 				return
 			}
+			o.probeFails = 0
 			n.scheduleProbe(o)
-		})
+			return
+		}
+		o.probeFails++
+		if o.probeFails >= n.cfg.ProbeFailLimit {
+			n.completeRequest(o, StatusCrashed, 0, nil, 0, 0)
+			return
+		}
+		n.scheduleProbe(o)
 	})
 }
 
@@ -416,7 +411,7 @@ func (n *Node) deliverRequest(src frame.MID, m *frame.Request) {
 		hasData: m.HasData,
 		data:    m.Data,
 	}
-	//lint:allow noalloc (counted: delivered map entry, deleted at accept/cancel)
+	//lint:allow noalloc (amortized: entries are deleted at accept or cancel, so the map stays at its peak size)
 	n.delivered[sig] = in
 	if n.cfg.Observer != nil {
 		n.observe(ObsEvent{Kind: ObsArrival, Sig: sig, Dst: frame.ServerSig{MID: n.mid, Pattern: m.Pattern}})
@@ -438,18 +433,21 @@ func (n *Node) deliverRequest(src frame.MID, m *frame.Request) {
 // and must be re-fetched at ACCEPT time.
 func (n *Node) armAcceptWindow(in *inRequest) {
 	in.timeoutGen++
-	gen := in.timeoutGen
-	epoch := n.epoch
-	//lint:allow noalloc (counted: one accept-window timer closure per delivered REQUEST)
-	n.k.After(n.cfg.AcceptWindow, func() {
-		if epoch != n.epoch || in.timeoutGen != gen || in.acked || in.accepting {
-			return
-		}
-		in.acked = true
-		in.hasData = false
-		in.data = nil
-		n.ep.ResolveHold(in.sig.MID, deltat.Decision{Verdict: deltat.VerdictAck})
-	})
+	r := n.newPending(pendingAcceptWindow)
+	r.in, r.gen = in, in.timeoutGen
+	n.k.After(n.cfg.AcceptWindow, r.fire)
+}
+
+// closeAcceptWindow releases the plain acknowledgement of in when its
+// accept window gen closes with no ACCEPT under way.
+func (n *Node) closeAcceptWindow(in *inRequest, gen int) {
+	if in.timeoutGen != gen || in.acked || in.accepting {
+		return
+	}
+	in.acked = true
+	in.hasData = false
+	in.data = nil
+	n.ep.ResolveHold(in.sig.MID, deltat.Decision{Verdict: deltat.VerdictAck})
 }
 
 // onAccept implements the requester kernel's handling of an ACCEPT message
@@ -574,8 +572,8 @@ func (n *Node) acceptRequest(p *sim.Proc, sig frame.RequesterSig, arg int32, get
 		// acknowledgement — a PUT costs two packets (§5.2.3). The data
 		// is already local, so the server is not delayed at all.
 		in.acked = true
-		//lint:allow noalloc (counted: one Accept header on the PUT piggyback fast path)
-		reply := frame.Encode(&frame.Accept{TID: sig.TID, Arg: arg, GetSize: uint32(getCap)})
+		in.acc = frame.Accept{TID: sig.TID, Arg: arg, GetSize: uint32(getCap)}
+		reply := frame.Encode(&in.acc)
 		n.ep.ResolveHold(sig.MID, deltat.Decision{Verdict: deltat.VerdictAck, Reply: reply})
 		delete(n.delivered, sig)
 		if n.cfg.Observer != nil {
@@ -584,36 +582,16 @@ func (n *Node) acceptRequest(p *sim.Proc, sig frame.RequesterSig, arg int32, get
 		return AcceptSuccess, in.data[:putN], putN, getN
 	}
 
-	//lint:allow noalloc (counted: one Accept message per accepted REQUEST)
-	msg := &frame.Accept{
+	in.acc = frame.Accept{
 		TID:      sig.TID,
 		Arg:      arg,
 		GetSize:  uint32(getCap),
 		NeedData: needD,
 		Data:     put[:getN],
 	}
-	payload := frame.Encode(msg)
+	payload := frame.Encode(&in.acc)
 	in.needData = needD
 	epoch := n.epoch
-	//lint:allow noalloc (counted: one accept-completion closure per accepted REQUEST)
-	cb := func(res deltat.Result) {
-		if epoch != n.epoch {
-			return
-		}
-		switch res.Kind {
-		case deltat.ResultAcked:
-			in.acceptOut = true
-		case deltat.ResultError:
-			if res.Err == frame.ErrStale {
-				in.failStatus = AcceptCrashed
-			} else {
-				in.failStatus = AcceptCancelled
-			}
-		case deltat.ResultPeerDead:
-			in.failStatus = AcceptCrashed
-		}
-		n.maybeFinishAccept(in)
-	}
 	if holdPending {
 		in.acked = true
 		if n.ep.OutboxBusy(sig.MID) {
@@ -626,10 +604,10 @@ func (n *Node) acceptRequest(p *sim.Proc, sig frame.RequesterSig, arg int32, get
 			n.ep.ResolveHold(sig.MID, deltat.Decision{Verdict: deltat.VerdictAck, Reply: payload})
 			in.acceptOut = true
 		} else {
-			n.ep.SendResolvingHold(sig.MID, payload, nil, cb)
+			n.ep.SendResolvingHold(sig.MID, payload, nil, n.acceptSent(in))
 		}
 	} else {
-		n.ep.SendUrgent(sig.MID, payload, nil, cb)
+		n.ep.SendUrgent(sig.MID, payload, nil, n.acceptSent(in))
 	}
 	if needD {
 		gen := in.timeoutGen
@@ -672,6 +650,30 @@ func (n *Node) acceptRequest(p *sim.Proc, sig frame.RequesterSig, arg int32, get
 		data = data[:putN]
 	}
 	return AcceptSuccess, data, putN, getN
+}
+
+// acceptSent returns the send-completion callback of in's ACCEPT message.
+func (n *Node) acceptSent(in *inRequest) func(deltat.Result) {
+	r := n.newPending(pendingAcceptSent)
+	r.in = in
+	return r.sent
+}
+
+// acceptSendDone handles the transport outcome of an ACCEPT message.
+func (n *Node) acceptSendDone(in *inRequest, res deltat.Result) {
+	switch res.Kind {
+	case deltat.ResultAcked:
+		in.acceptOut = true
+	case deltat.ResultError:
+		if res.Err == frame.ErrStale {
+			in.failStatus = AcceptCrashed
+		} else {
+			in.failStatus = AcceptCancelled
+		}
+	case deltat.ResultPeerDead:
+		in.failStatus = AcceptCrashed
+	}
+	n.maybeFinishAccept(in)
 }
 
 // sendOrphanAccept forwards an ACCEPT for a request this kernel does not

@@ -26,11 +26,14 @@ type Registry map[string]Program
 
 // outRequest is the requester kernel's record of an uncompleted REQUEST.
 type outRequest struct {
-	tid       frame.TID
-	dst       frame.ServerSig
-	arg       int32
-	putData   []byte
-	getSize   int
+	tid     frame.TID
+	dst     frame.ServerSig
+	arg     int32
+	putData []byte
+	getSize int
+	// req is the REQUEST message, kept here so encoding it allocates only
+	// the wire bytes.
+	req       frame.Request
 	delivered bool // acknowledged by the server kernel
 	// cancel coordination
 	cancelWaiter *sim.Proc // client blocked in CANCEL awaiting delivery state
@@ -64,6 +67,9 @@ type inRequest struct {
 	gotDataOK    bool
 	failStatus   AcceptStatus // non-zero: the accept failed
 	timeoutGen   int
+	// acc is the ACCEPT message, kept here so encoding it allocates only
+	// the wire bytes.
+	acc frame.Accept
 }
 
 // heldInput is the pipelined kernel's parked REQUEST (§5.2.3).
@@ -110,6 +116,84 @@ type Node struct {
 	client *Client
 	totals CostTotals
 	epoch  int // bumped on crash/DIE; stale timers check it
+	// free recycles the records of scheduled kernel actions (see pending).
+	free []*pending
+}
+
+// pendingKind names the action a pending record performs.
+type pendingKind uint8
+
+const (
+	pendingRequestSent  pendingKind = iota + 1 // the transport outcome of a REQUEST message
+	pendingAcceptSent                          // the transport outcome of an ACCEPT message
+	pendingAcceptWindow                        // the accept-window timer of a delivered REQUEST
+	pendingProbe                               // the probe timer of a delivered, unaccepted REQUEST
+)
+
+// pending is a scheduled kernel action of the REQUEST round trip: a timer,
+// scheduled with fire, or a send completion, handed to the transport as
+// sent. Records live on their node's freelist: both funcs are bound once
+// when a record is first allocated, the action's state lives in the
+// fields, and a record goes back to the freelist as it fires. Every action
+// is dropped if the node crashed or died since it was scheduled (epoch).
+// A send whose endpoint crashes never completes; its record is dropped
+// with it.
+type pending struct {
+	n     *Node
+	fire  func()
+	sent  func(deltat.Result)
+	kind  pendingKind
+	epoch int
+	gen   int // the request's probe or accept-window generation
+	o     *outRequest
+	in    *inRequest
+}
+
+// newPending takes a pending record from the freelist, or allocates one.
+func (n *Node) newPending(kind pendingKind) *pending {
+	var r *pending
+	if k := len(n.free); k > 0 {
+		r = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		//lint:allow noalloc (amortized: one record per new peak of pending kernel actions)
+		r = &pending{n: n}
+		//lint:allow noalloc (amortized: bound once per record; the record is reused)
+		r.fire = r.run
+		//lint:allow noalloc (amortized: bound once per record; the record is reused)
+		r.sent = r.done
+	}
+	r.kind, r.epoch = kind, n.epoch
+	return r
+}
+
+// run fires a timer record.
+//
+//lint:hotpath
+func (r *pending) run() { r.done(deltat.Result{}) }
+
+// done performs the record's action, with res the outcome of a send. The
+// record is back on the freelist before the action runs.
+//
+//lint:hotpath
+func (r *pending) done(res deltat.Result) {
+	n, kind, epoch, gen, o, in := r.n, r.kind, r.epoch, r.gen, r.o, r.in
+	r.o, r.in = nil, nil
+	//lint:allow noalloc (amortized: the freelist grows to the peak number of pending kernel actions)
+	n.free = append(n.free, r)
+	if epoch != n.epoch {
+		return
+	}
+	switch kind {
+	case pendingRequestSent:
+		n.requestSendDone(o, res)
+	case pendingAcceptSent:
+		n.acceptSendDone(in, res)
+	case pendingAcceptWindow:
+		n.closeAcceptWindow(in, gen)
+	case pendingProbe:
+		n.probe(o, gen)
+	}
 }
 
 type patternSlot struct {

@@ -376,10 +376,13 @@ type peer struct {
 	queue []*msg
 	// hold is a delivered frame whose acknowledgement the upper layer
 	// withholds; defAck a consumed frame whose plain acknowledgement waits
-	// for a piggyback (stop-and-wait only). A timer that finds a different
-	// record in its slot is stale.
-	hold   *held
-	defAck *held
+	// for a piggyback (stop-and-wait only). Each is nil or points at its
+	// slot's own record, holdRec or defAckRec. A timer that finds the slot
+	// empty or at another generation is stale.
+	hold      *held
+	defAck    *held
+	holdRec   held
+	defAckRec held
 
 	ab altBit
 	ws *wsend
@@ -405,14 +408,26 @@ func (ab *altBit) consume(seq uint8, cr cachedReply) {
 	ab.cached = cr
 }
 
-// held is a delivered frame whose acknowledgement is withheld.
+// held is a delivered frame whose acknowledgement is withheld. gen counts
+// the uses of the peer slot the record belongs to.
 type held struct {
 	seq    uint8
 	expiry Verdict
+	gen    int
 }
 
-// msg is one reliable message queued toward a destination.
+// occupy starts a new use of the slot record h for frame seq.
+func (h *held) occupy(seq uint8, expiry Verdict) *held {
+	h.gen++
+	h.seq, h.expiry = seq, expiry
+	return h
+}
+
+// msg is one reliable message queued toward a destination. A completed
+// stop-and-wait message goes back to its endpoint's freelist; gen counts
+// its uses, so a transmission still scheduled for an earlier use is stale.
 type msg struct {
+	gen     int
 	payload []byte
 	retrans []byte // stop-and-wait retransmissions send this when non-nil (§5.2.3)
 	cb      func(Result)
@@ -447,6 +462,16 @@ func (p *peer) enqueue(m *msg) {
 	p.queue = append(p.queue, m)
 }
 
+// dequeue removes and returns the head of the queue, keeping the queue's
+// storage for the next enqueue.
+func (p *peer) dequeue() *msg {
+	m := p.queue[0]
+	n := copy(p.queue, p.queue[1:])
+	p.queue[n] = nil
+	p.queue = p.queue[:n]
+	return m
+}
+
 // requeue inserts m behind every queued urgent message and ahead of the
 // ordinary ones.
 func (p *peer) requeue(m *msg) {
@@ -479,6 +504,10 @@ type Endpoint struct {
 	totals      CostTotals
 	crashed     bool
 	epoch       int // bumped on crash; stale scheduled work checks it
+	// timers and msgs recycle the records of scheduled actions and of
+	// completed stop-and-wait messages (see timer and msg).
+	timers []*timer
+	msgs   []*msg
 }
 
 // windowed reports whether the windowed framing is in effect.
@@ -543,9 +572,7 @@ func (e *Endpoint) ResetTotals() { e.totals = CostTotals{} }
 //
 //lint:hotpath
 func (e *Endpoint) Send(dst frame.MID, payload, retrans []byte, cb func(Result)) {
-	//lint:allow noalloc (counted: one msg per reliable message)
-	m := &msg{payload: payload, retrans: retrans, cb: cb}
-	e.send(dst, m)
+	e.send(dst, e.newMsg(payload, retrans, cb))
 }
 
 // SendUrgent is Send with reply priority: the message is queued ahead of
@@ -557,8 +584,8 @@ func (e *Endpoint) Send(dst frame.MID, payload, retrans []byte, cb func(Result))
 //
 //lint:hotpath
 func (e *Endpoint) SendUrgent(dst frame.MID, payload, retrans []byte, cb func(Result)) {
-	//lint:allow noalloc (counted: one msg per reliable message)
-	m := &msg{payload: payload, retrans: retrans, cb: cb, urgent: true}
+	m := e.newMsg(payload, retrans, cb)
+	m.urgent = true
 	e.send(dst, m)
 }
 
@@ -582,8 +609,7 @@ func (e *Endpoint) SendResolvingHold(dst frame.MID, payload, retrans []byte, cb 
 		e.SendUrgent(dst, payload, retrans, cb)
 		return had
 	}
-	//lint:allow noalloc (counted: one msg per reliable message)
-	m := &msg{payload: payload, retrans: retrans, cb: cb}
+	m := e.newMsg(payload, retrans, cb)
 	p := e.peer(dst)
 	h := p.hold
 	if h != nil {
@@ -597,6 +623,113 @@ func (e *Endpoint) SendResolvingHold(dst frame.MID, payload, retrans []byte, cb 
 	}
 	e.send(dst, m)
 	return h != nil
+}
+
+// newMsg takes a message record from the freelist, or allocates one.
+func (e *Endpoint) newMsg(payload, retrans []byte, cb func(Result)) *msg {
+	var m *msg
+	if n := len(e.msgs); n > 0 {
+		m = e.msgs[n-1]
+		e.msgs = e.msgs[:n-1]
+	} else {
+		//lint:allow noalloc (amortized: one record per new peak of stop-and-wait messages; the windowed framing never returns its records)
+		m = &msg{}
+	}
+	m.payload, m.retrans, m.cb = payload, retrans, cb
+	return m
+}
+
+// freeMsg returns a completed stop-and-wait message to the freelist.
+func (e *Endpoint) freeMsg(m *msg) {
+	*m = msg{gen: m.gen + 1}
+	//lint:allow noalloc (amortized: the freelist grows to the peak number of stop-and-wait messages)
+	e.msgs = append(e.msgs, m)
+}
+
+// timerKind names the action a scheduled timer record performs.
+type timerKind uint8
+
+const (
+	timerRecv       timerKind = iota + 1 // interpret a received frame once its charge elapses
+	timerTransmit                        // put the current DATA frame on the wire
+	timerRetransmit                      // the retransmission timeout of a DATA frame
+	timerAck                             // put an acknowledgement on the wire
+	timerDefAck                          // the plain-ack fallback of a deferred acknowledgement
+	timerHoldExpiry                      // auto-resolve a hold
+)
+
+// timer is one scheduled action of the stop-and-wait path. Records live on
+// their endpoint's freelist: fire is bound once when a record is first
+// allocated, the action's state lives in the fields, and a record goes back
+// to the freelist once it has fired, so the steady state schedules without
+// allocating. Every action is dropped if the endpoint crashed since it was
+// scheduled (epoch).
+type timer struct {
+	e     *Endpoint
+	fire  func()
+	kind  timerKind
+	epoch int
+	peer  frame.MID
+	p     *peer
+	m     *msg
+	// gen is the generation the action was scheduled at: the message's
+	// (timerTransmit), the peer's timerGen (timerRetransmit), or the held
+	// slot's (timerDefAck, timerHoldExpiry).
+	gen   int
+	seq   uint8
+	first bool
+	data  []byte               // the DATA payload or the ACK's reply
+	f     frame.TransportFrame // the received frame (timerRecv)
+}
+
+// newTimer takes a timer record from the freelist, or allocates one.
+func (e *Endpoint) newTimer(kind timerKind, peer frame.MID, p *peer) *timer {
+	var t *timer
+	if n := len(e.timers); n > 0 {
+		t = e.timers[n-1]
+		e.timers = e.timers[:n-1]
+	} else {
+		//lint:allow noalloc (amortized: one record per new peak of pending endpoint actions)
+		t = &timer{e: e}
+		//lint:allow noalloc (amortized: bound once per record; the record is reused)
+		t.fire = t.run
+	}
+	t.kind, t.epoch, t.peer, t.p = kind, e.epoch, peer, p
+	return t
+}
+
+// freeTimer clears t and returns it to the freelist.
+func (e *Endpoint) freeTimer(t *timer) {
+	*t = timer{e: e, fire: t.fire}
+	//lint:allow noalloc (amortized: the freelist grows to the peak number of pending endpoint actions)
+	e.timers = append(e.timers, t)
+}
+
+// run performs the scheduled action, then recycles the record.
+//
+//lint:hotpath
+func (t *timer) run() {
+	e := t.e
+	if t.epoch == e.epoch {
+		switch t.kind {
+		case timerRecv:
+			e.process(&t.f)
+		case timerTransmit:
+			e.transmitData(t)
+		case timerRetransmit:
+			e.retransmit(t)
+		case timerAck:
+			e.transmitAck(t)
+		case timerDefAck:
+			if da := t.p.defAck; da != nil && da.gen == t.gen {
+				t.p.defAck = nil
+				e.sendAck(t.peer, t.p, da.seq, nil)
+			}
+		case timerHoldExpiry:
+			e.expireHold(t)
+		}
+	}
+	e.freeTimer(t)
 }
 
 // HasHold reports whether a frame from src is currently held.
@@ -859,8 +992,7 @@ func (e *Endpoint) startNext(dst frame.MID, p *peer) {
 	if p.ab.cur != nil || len(p.queue) == 0 {
 		return
 	}
-	p.ab.cur = p.queue[0]
-	p.queue = p.queue[1:]
+	p.ab.cur = p.dequeue()
 	p.ab.sent = false
 	// After a peer-dead verdict the first frame waits out the reconnect
 	// quiet period (transmitCur), and so does the no-response clock.
@@ -883,39 +1015,43 @@ func (e *Endpoint) transmitCur(dst frame.MID, p *peer) {
 		// a duplicate of the dead connection's last message.
 		d += p.quietUntil - e.k.Now()
 	}
-	epoch := e.epoch
-	//lint:allow noalloc (counted: one transmit closure per DATA frame)
-	e.k.After(d, func() {
-		if epoch != e.epoch || p.ab.cur != m {
-			return
-		}
-		e.conn(dst) // the first DATA frame opens the record
-		// A deferred plain acknowledgement rides the first DATA frame
-		// toward its peer (§5.2.3); explicit piggybacks take precedence.
-		if da := p.defAck; !m.piggyAck && da != nil {
-			m.piggyAck = true
-			m.piggyAckSeq = da.seq
-			p.defAck = nil // cancels the plain-ack fallback
-		}
-		//lint:allow noalloc (counted: one frame header per DATA transmission)
-		f := &frame.TransportFrame{
-			Kind:       frame.TransportData,
-			Src:        e.mid,
-			Dst:        dst,
-			Seq:        p.ab.sendSeq,
-			ConnOpen:   true,
-			AckPresent: m.piggyAck,
-			AckSeq:     m.piggyAckSeq,
-			Payload:    payload,
-		}
-		p.attempts++
-		if f.AckPresent {
-			e.iface.CountPiggybackedAck()
-			e.emit(EvPiggybackAck, dst, f.AckSeq, p.attempts)
-		}
-		e.transmit(f)
-		e.armRetransmit(dst, p, m, first)
-	})
+	t := e.newTimer(timerTransmit, dst, p)
+	t.m, t.gen, t.data, t.first = m, m.gen, payload, first
+	e.k.After(d, t.fire)
+}
+
+// transmitData puts the current DATA frame on the wire once its send
+// charge has elapsed, unless the message completed meanwhile.
+func (e *Endpoint) transmitData(t *timer) {
+	dst, p, m := t.peer, t.p, t.m
+	if p.ab.cur != m || m.gen != t.gen {
+		return
+	}
+	e.conn(dst) // the first DATA frame opens the record
+	// A deferred plain acknowledgement rides the first DATA frame
+	// toward its peer (§5.2.3); explicit piggybacks take precedence.
+	if da := p.defAck; !m.piggyAck && da != nil {
+		m.piggyAck = true
+		m.piggyAckSeq = da.seq
+		p.defAck = nil // cancels the plain-ack fallback
+	}
+	f := frame.TransportFrame{
+		Kind:       frame.TransportData,
+		Src:        e.mid,
+		Dst:        dst,
+		Seq:        p.ab.sendSeq,
+		ConnOpen:   true,
+		AckPresent: m.piggyAck,
+		AckSeq:     m.piggyAckSeq,
+		Payload:    t.data,
+	}
+	p.attempts++
+	if f.AckPresent {
+		e.iface.CountPiggybackedAck()
+		e.emit(EvPiggybackAck, dst, f.AckSeq, p.attempts)
+	}
+	e.transmit(&f)
+	e.armRetransmit(dst, p, m, t.first)
 }
 
 func (e *Endpoint) armRetransmit(dst frame.MID, p *peer, m *msg, first bool) {
@@ -925,21 +1061,26 @@ func (e *Endpoint) armRetransmit(dst frame.MID, p *peer, m *msg, first bool) {
 	if !first {
 		e.backoff(p)
 	}
-	epoch := e.epoch
-	//lint:allow noalloc (counted: one retransmission-timer closure per DATA frame)
-	e.k.After(wait, func() {
-		if epoch != e.epoch || p.timerGen != gen || p.ab.cur != m {
-			return
-		}
-		if e.k.Now() >= p.deadline {
-			e.peerDead(dst, p)
-			return
-		}
-		e.totals.RetransTimer += e.cfg.Costs.RetransTimer
-		e.iface.CountRetransmission()
-		e.emit(EvRetransmit, dst, e.conn(dst).ab.sendSeq, p.attempts+1)
-		e.transmitCur(dst, p)
-	})
+	t := e.newTimer(timerRetransmit, dst, p)
+	t.m, t.gen = m, gen
+	e.k.After(wait, t.fire)
+}
+
+// retransmit is the retransmission timeout of the current DATA frame:
+// it re-sends the frame, or reports the peer dead past its deadline.
+func (e *Endpoint) retransmit(t *timer) {
+	dst, p := t.peer, t.p
+	if p.timerGen != t.gen || p.ab.cur != t.m {
+		return
+	}
+	if e.k.Now() >= p.deadline {
+		e.peerDead(dst, p)
+		return
+	}
+	e.totals.RetransTimer += e.cfg.Costs.RetransTimer
+	e.iface.CountRetransmission()
+	e.emit(EvRetransmit, dst, e.conn(dst).ab.sendSeq, p.attempts+1)
+	e.transmitCur(dst, p)
 }
 
 // wireTime estimates the transmission time of a payload of n bytes, used
@@ -965,11 +1106,14 @@ func (e *Endpoint) transmit(f *frame.TransportFrame) {
 //
 //lint:hotpath
 func (e *Endpoint) receive(raw []byte) {
-	f, err := frame.DecodeTransportShared(raw)
-	if err != nil {
+	t := e.newTimer(timerRecv, 0, nil)
+	f := &t.f
+	if err := frame.DecodeTransportInto(f, raw); err != nil {
+		e.freeTimer(t)
 		return // CRC-damaged frames are silently discarded (§5.2.2)
 	}
 	if f.Dst != e.mid && f.Dst != frame.BroadcastMID {
+		e.freeTimer(t)
 		return // MID screening rejects spurious traffic (§6.12)
 	}
 	dataBytes := 0
@@ -989,14 +1133,7 @@ func (e *Endpoint) receive(raw []byte) {
 		e.recvReadyAt = done
 		d = time.Duration(done - now)
 	}
-	epoch := e.epoch
-	//lint:allow noalloc (counted: one deferred-process closure per received frame)
-	e.k.After(d, func() {
-		if epoch != e.epoch {
-			return
-		}
-		e.process(f)
-	})
+	e.k.After(d, t.fire)
 }
 
 func (e *Endpoint) process(f *frame.TransportFrame) {
@@ -1055,9 +1192,11 @@ func (e *Endpoint) handleAck(src frame.MID, p *peer, seq uint8, reply []byte) {
 	p.timerGen++
 	e.emit(EvAckRx, src, seq, p.attempts)
 	p.ab.sendSeq ^= 1
-	if m.cb != nil {
+	cb := m.cb
+	e.freeMsg(m)
+	if cb != nil {
 		//lint:allow noalloc (indirect: send-completion callback; its targets are //lint:hotpath roots in soda/internal/core)
-		m.cb(Result{Kind: ResultAcked, Reply: reply})
+		cb(Result{Kind: ResultAcked, Reply: reply})
 	}
 	e.startNext(src, p)
 }
@@ -1071,9 +1210,11 @@ func (e *Endpoint) handleNack(src frame.MID, p *peer, seq uint8, code frame.ErrC
 	if code != frame.NackBusy {
 		p.ab.cur = nil
 		p.ab.sendSeq ^= 1 // error NACKs consume the message
-		if m.cb != nil {
+		cb := m.cb
+		e.freeMsg(m)
+		if cb != nil {
 			//lint:allow noalloc (cold: error-NACK completion)
-			m.cb(Result{Kind: ResultError, Err: code})
+			cb(Result{Kind: ResultError, Err: code})
 		}
 		e.startNext(src, p)
 		return
@@ -1153,18 +1294,10 @@ func (e *Endpoint) applyVerdict(src frame.MID, seq uint8, dec Decision) {
 		e.sendNack(src, p, seq, dec.Err)
 	case VerdictAckDeferred:
 		p.ab.consume(seq, cachedReply{kind: replyAck})
-		//lint:allow noalloc (counted: one deferred-ack record per consumed DATA frame)
-		da := &held{seq: seq}
-		p.defAck = da
-		epoch := e.epoch
-		//lint:allow noalloc (counted: one deferred-ack timer closure per consumed DATA frame)
-		e.k.After(e.cfg.A, func() {
-			if epoch != e.epoch || p.defAck != da {
-				return
-			}
-			p.defAck = nil
-			e.sendAck(src, p, seq, nil)
-		})
+		p.defAck = p.defAckRec.occupy(seq, 0)
+		t := e.newTimer(timerDefAck, src, p)
+		t.gen = p.defAck.gen
+		e.k.After(e.cfg.A, t.fire)
 	case VerdictBusy:
 		// Not consumed: no record update, so the retry is processed
 		// fresh.
@@ -1182,8 +1315,7 @@ func (e *Endpoint) applyVerdict(src frame.MID, seq uint8, dec Decision) {
 // first. Shared by both framings: expiry re-enters through applyVerdict.
 func (e *Endpoint) hold(src frame.MID, seq uint8, dec Decision) {
 	p := e.peer(src)
-	//lint:allow noalloc (counted: one hold record per held REQUEST)
-	h := &held{seq: seq, expiry: dec.ExpiryVerdict}
+	h := p.holdRec.occupy(seq, dec.ExpiryVerdict)
 	p.hold = h
 	timeout := dec.HoldTimeout
 	if timeout < 0 {
@@ -1195,19 +1327,26 @@ func (e *Endpoint) hold(src frame.MID, seq uint8, dec Decision) {
 	if h.expiry == 0 {
 		h.expiry = VerdictAck
 	}
-	epoch := e.epoch
-	//lint:allow noalloc (counted: one hold-expiry timer closure per held REQUEST)
-	e.k.After(timeout, func() {
-		if epoch != e.epoch || p.hold != h {
-			return
-		}
-		p.hold = nil
-		e.applyVerdict(src, seq, Decision{Verdict: h.expiry})
-		if e.hooks.OnHoldExpired != nil {
-			//lint:allow noalloc (cold: hold expiry fires only when the upper layer stalls)
-			e.hooks.OnHoldExpired(src, h.expiry)
-		}
-	})
+	t := e.newTimer(timerHoldExpiry, src, p)
+	t.gen = h.gen
+	e.k.After(timeout, t.fire)
+}
+
+// expireHold auto-resolves a hold that is still pending when its timeout
+// fires.
+func (e *Endpoint) expireHold(t *timer) {
+	src, p := t.peer, t.p
+	h := p.hold
+	if h == nil || h.gen != t.gen {
+		return
+	}
+	p.hold = nil
+	expiry := h.expiry
+	e.applyVerdict(src, h.seq, Decision{Verdict: expiry})
+	if e.hooks.OnHoldExpired != nil {
+		//lint:allow noalloc (cold: hold expiry fires only when the upper layer stalls)
+		e.hooks.OnHoldExpired(src, expiry)
+	}
 }
 
 // sendAck acknowledges message seq from dst, carrying the upper layer's
@@ -1215,24 +1354,23 @@ func (e *Endpoint) hold(src frame.MID, seq uint8, dec Decision) {
 func (e *Endpoint) sendAck(dst frame.MID, p *peer, seq uint8, reply []byte) {
 	e.emit(EvAckTx, dst, seq, 0)
 	d := e.chargeSend(false, 0)
-	epoch := e.epoch
-	//lint:allow noalloc (counted: one ack closure per acknowledged frame)
-	e.k.After(d, func() {
-		if epoch != e.epoch {
-			return
-		}
-		//lint:allow noalloc (counted: one ACK frame header per acknowledgement)
-		f := &frame.TransportFrame{
-			Kind:     frame.TransportAck,
-			Src:      e.mid,
-			Dst:      dst,
-			Seq:      seq,
-			ConnOpen: true,
-			Payload:  reply,
-		}
-		e.attachCumAck(f, p)
-		e.transmit(f)
-	})
+	t := e.newTimer(timerAck, dst, p)
+	t.seq, t.data = seq, reply
+	e.k.After(d, t.fire)
+}
+
+// transmitAck puts a scheduled acknowledgement on the wire.
+func (e *Endpoint) transmitAck(t *timer) {
+	f := frame.TransportFrame{
+		Kind:     frame.TransportAck,
+		Src:      e.mid,
+		Dst:      t.peer,
+		Seq:      t.seq,
+		ConnOpen: true,
+		Payload:  t.data,
+	}
+	e.attachCumAck(&f, t.p)
+	e.transmit(&f)
 }
 
 // sendNack refuses message seq from dst (BUSY) or reports an error code.

@@ -531,3 +531,57 @@ func TestNewRequiresOnData(t *testing.T) {
 		t.Fatal("New without OnData must fail")
 	}
 }
+
+// TestStopAndWaitSteadyStateAllocs holds a warm stop-and-wait endpoint pair
+// to one allocation per frame: the wire buffer, which the bus shares with
+// every receiver. Everything else a message needs on the way — timer
+// records, message records, queue storage, the hold and deferred-ack
+// slots — comes from storage the endpoints already own, so this is the
+// dynamic check of the amortized: suppressions on the stop-and-wait path.
+// The exchange is the kernel's: each request is held until its reply rides
+// the acknowledgement back, replies are acknowledged late or on the next
+// request, and three requests queue behind each other.
+func TestStopAndWaitSteadyStateAllocs(t *testing.T) {
+	var k *sim.Kernel
+	var answer func()
+	r := newRig(t, 1, 0, []frame.MID{1, 2}, map[frame.MID]Hooks{
+		1: {OnData: func(frame.MID, []byte) Decision { return Decision{Verdict: VerdictAckDeferred} }},
+		2: {OnData: func(frame.MID, []byte) Decision {
+			k.After(0, answer)
+			return Decision{Verdict: VerdictHold, HoldTimeout: -1}
+		}},
+	})
+	k = r.k
+	reply, request := []byte("reply"), []byte("request")
+	answer = func() {
+		if !r.eps[2].SendResolvingHold(1, reply, nil, nil) {
+			t.Error("the reply found no hold to resolve")
+		}
+	}
+	acked := 0
+	done := func(res Result) {
+		if res.Kind == ResultAcked {
+			acked++
+		}
+	}
+	round := func() {
+		for i := 0; i < 3; i++ {
+			r.eps[1].Send(2, request, nil, done)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	round() // grows every freelist and the queue to its peak
+	sent := r.b.Stats().FramesSent
+	round()
+	frames := r.b.Stats().FramesSent - sent
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, round)
+	if want := 3 * (2 + 1 + runs); acked != want {
+		t.Fatalf("%d requests acknowledged, want %d", acked, want)
+	}
+	if allocs != float64(frames) {
+		t.Fatalf("a round of %d frames allocates %.2f times, want one wire buffer per frame", frames, allocs)
+	}
+}

@@ -321,8 +321,7 @@ func (e *Endpoint) wPump(dst frame.MID, p *peer) {
 				}
 				break
 			}
-			m = p.queue[0]
-			p.queue = p.queue[1:]
+			m = p.dequeue()
 			ws.stalled = false
 			m.msgSeq = ws.nextMsg
 			ws.nextMsg++

@@ -205,7 +205,7 @@ func DecodeTransport(b []byte) (*TransportFrame, error) {
 	if err != nil || f.Payload == nil {
 		return f, err
 	}
-	//lint:allow noalloc (cold: copying DecodeTransport only; the hot path uses DecodeTransportShared)
+	//lint:allow noalloc (cold: copying DecodeTransport only; the hot path uses DecodeTransportInto)
 	p := make([]byte, len(f.Payload))
 	copy(p, f.Payload)
 	f.Payload = p
@@ -213,16 +213,13 @@ func DecodeTransport(b []byte) (*TransportFrame, error) {
 }
 
 // DecodeTransportShared is DecodeTransport without the payload copy: the
-// returned frame's Payload aliases b. It exists for the receive hot path,
-// where the wire buffer is immutable by contract (the bus shares one buffer
-// among all receivers and observers). Callers must treat Payload as
-// read-only and must not retain it past the buffer's lifetime.
-//
-//lint:hotpath
+// returned frame's Payload aliases b, which is safe because the wire
+// buffer is immutable by contract (the bus shares one buffer among all
+// receivers and observers). Callers must treat Payload as read-only and
+// must not retain it past the buffer's lifetime.
 func DecodeTransportShared(b []byte) (*TransportFrame, error) {
-	//lint:allow noalloc (counted: one TransportFrame per decoded frame)
 	f := new(TransportFrame)
-	if err := decodeTransport(f, b); err != nil {
+	if err := DecodeTransportInto(f, b); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -235,11 +232,15 @@ func DecodeTransportShared(b []byte) (*TransportFrame, error) {
 //lint:hotpath
 func CheckTransport(b []byte) error {
 	var f TransportFrame
-	return decodeTransport(&f, b)
+	return DecodeTransportInto(&f, b)
 }
 
-// decodeTransport parses b into f, whose Payload aliases b.
-func decodeTransport(f *TransportFrame, b []byte) error {
+// DecodeTransportInto is DecodeTransportShared into storage the caller
+// owns: it overwrites all of f, whose Payload then aliases b. The receive
+// hot path decodes into its pending-receive record this way.
+//
+//lint:hotpath
+func DecodeTransportInto(f *TransportFrame, b []byte) error {
 	if len(b) < transportHeaderSize {
 		return ErrShortFrame
 	}

@@ -4,8 +4,9 @@
 // A function annotated //lint:hotpath is a root: it, and everything
 // reachable from it through the module call graph (lint.Facts), must not
 // allocate. The analyzer flags every construct that allocates or may
-// allocate — make, new, growing append, capturing closures, composite
-// literals that escape or carry slice/map backing stores, string
+// allocate — make, new, growing append, capturing closures, method values
+// (x.M not in call position, which binds its receiver into a closure),
+// composite literals that escape or carry slice/map backing stores, string
 // concatenation and string<->[]byte conversions, map writes, interface
 // boxing of non-pointer values at call sites — plus every call it cannot
 // prove harmless: dynamic calls through func values and calls into
@@ -30,6 +31,11 @@
 //     additionally prunes traversal into the callee (the annotation
 //     vouches for the subtree), which is how cold branches (e.g. the
 //     windowed transport) stay out of scope.
+//   - Bound-once callbacks: scheduled work on the path rides records its
+//     owner recycles, each with a method value bound when the record is
+//     first allocated. That binding site carries an amortized: allow, and
+//     the method is a //lint:hotpath root of its own, because the
+//     scheduler calls it through a func value the traversal cannot follow.
 package noalloc
 
 import (
@@ -141,6 +147,11 @@ func analyzeFunc(facts *lint.Facts, fi *lint.FuncInfo) ([]finding, []*types.Func
 	// receiver) of the innermost function, decl or literal.
 	var scan func(body ast.Node, params map[*types.Var]bool)
 
+	// called holds the selectors in call position, so that x.M() is a call
+	// and only a bare x.M a method value. ast.Inspect visits a call before
+	// its Fun, so the mark is always in place in time.
+	called := map[*ast.SelectorExpr]bool{}
+
 	isParam := func(params map[*types.Var]bool, e ast.Expr) bool {
 		id, ok := ast.Unparen(e).(*ast.Ident)
 		if !ok {
@@ -212,7 +223,14 @@ func analyzeFunc(facts *lint.Facts, fi *lint.FuncInfo) ([]finding, []*types.Func
 				scan(n.Body, paramSet(info, n.Type, nil))
 				return false
 			case *ast.CallExpr:
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+					called[sel] = true
+				}
 				checkCall(n, params)
+			case *ast.SelectorExpr:
+				if s, ok := info.Selections[n]; ok && s.Kind() == types.MethodVal && !called[n] {
+					report(n.Pos(), "method value binds its receiver into a closure and allocates when it escapes")
+				}
 			case *ast.CompositeLit:
 				switch info.Types[n].Type.Underlying().(type) {
 				case *types.Slice:

@@ -23,6 +23,7 @@ func Root(dst []byte, n int, m map[int]int) []byte {
 	dst = viaIface(encA{}, dst) // want `boxes a non-pointer value into an interface parameter`
 	strs("x", "y")
 	_ = ptrLit()
+	methodValues(&point{}) // want `address of composite literal escapes`
 	return dst
 }
 
@@ -111,6 +112,20 @@ type point struct{ x, y int }
 
 func ptrLit() *point {
 	return &point{x: 1} // want `address of composite literal escapes`
+}
+
+func (p *point) norm() int { return p.x*p.x + p.y*p.y }
+
+func apply(f func() int) int { return f() } // want `dynamic call through a func value`
+
+// methodValues binds a method value, which allocates its closure when it
+// escapes; calling the method does not.
+func methodValues(p *point) {
+	_ = p.norm()
+	_ = apply(p.norm) // want `method value binds its receiver`
+	_ = (p.norm)()
+	f := (*point).norm // a method expression is a static function value
+	_ = f(p)           // want `dynamic call through a func value`
 }
 
 // coldIsolated is never reached from a hotpath root, so its allocation is
