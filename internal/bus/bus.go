@@ -212,9 +212,12 @@ type Hooks struct {
 
 // Bus is the shared medium. It is driven entirely from simulation context.
 type Bus struct {
-	k         *sim.Kernel
-	cfg       Config
-	ifaces    map[frame.MID]*Iface
+	k   *sim.Kernel
+	cfg Config
+	// ifaces are the attached interfaces in MID order: unicast finds its
+	// target by binary search, and the broadcast fan-out is deterministic
+	// without sorting anything per frame.
+	ifaces    []*Iface
 	busyUntil sim.Time
 	stats     Stats
 	hooks     Hooks
@@ -239,10 +242,9 @@ func New(k *sim.Kernel, cfg Config) *Bus {
 		cfg.BandwidthBPS = DefaultConfig().BandwidthBPS
 	}
 	return &Bus{
-		k:      k,
-		cfg:    cfg,
-		ifaces: make(map[frame.MID]*Iface),
-		stats:  Stats{ByKind: make(map[frame.TransportKind]uint64)},
+		k:     k,
+		cfg:   cfg,
+		stats: Stats{ByKind: make(map[frame.TransportKind]uint64)},
 	}
 }
 
@@ -293,12 +295,54 @@ func (b *Bus) Attach(mid frame.MID, recv func(raw []byte)) (*Iface, error) {
 	if mid == frame.BroadcastMID {
 		return nil, fmt.Errorf("bus: cannot attach the broadcast MID")
 	}
-	if _, dup := b.ifaces[mid]; dup {
+	if b.lookup(mid) != nil {
 		return nil, fmt.Errorf("bus: MID %d already attached", mid)
 	}
 	i := &Iface{bus: b, mid: mid, recv: recv, up: true}
-	b.ifaces[mid] = i
+	b.ifaces = insertByMID(b.ifaces, i)
 	return i, nil
+}
+
+// lookup returns the interface attached as mid, or nil.
+func (b *Bus) lookup(mid frame.MID) *Iface {
+	lo, hi := 0, len(b.ifaces)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if b.ifaces[m].mid < mid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(b.ifaces) && b.ifaces[lo].mid == mid {
+		return b.ifaces[lo]
+	}
+	return nil
+}
+
+// insertByMID inserts i into list, which is in MID order, keeping the order.
+func insertByMID(list []*Iface, i *Iface) []*Iface {
+	pos := len(list)
+	for j, other := range list {
+		if other.mid > i.mid {
+			pos = j
+			break
+		}
+	}
+	list = append(list, nil)
+	copy(list[pos+1:], list[pos:])
+	list[pos] = i
+	return list
+}
+
+// removeIface removes i from list, if present, keeping the order.
+func removeIface(list []*Iface, i *Iface) []*Iface {
+	for j, other := range list {
+		if other == i {
+			return append(list[:j], list[j+1:]...)
+		}
+	}
+	return list
 }
 
 // busWire adapts Attach's concrete *Iface result to the transport's wire
@@ -330,16 +374,7 @@ func (b *Bus) AttachBridge(mid frame.MID, recv func(raw []byte)) (*Iface, error)
 		return nil, err
 	}
 	i.bridge = true
-	pos := len(b.bridges)
-	for j, br := range b.bridges {
-		if br.mid > mid {
-			pos = j
-			break
-		}
-	}
-	b.bridges = append(b.bridges, nil)
-	copy(b.bridges[pos+1:], b.bridges[pos:])
-	b.bridges[pos] = i
+	b.bridges = insertByMID(b.bridges, i)
 	return i, nil
 }
 
@@ -347,13 +382,8 @@ func (b *Bus) AttachBridge(mid frame.MID, recv func(raw []byte)) (*Iface, error)
 // frames and its MID becomes free for reuse. Frames already in flight toward
 // it are discarded at delivery time (the interface is marked down).
 func (i *Iface) Detach() {
-	delete(i.bus.ifaces, i.mid)
-	for idx, br := range i.bus.bridges {
-		if br == i {
-			i.bus.bridges = append(i.bus.bridges[:idx], i.bus.bridges[idx+1:]...)
-			break
-		}
-	}
+	i.bus.ifaces = removeIface(i.bus.ifaces, i)
+	i.bus.bridges = removeIface(i.bus.bridges, i)
 	i.up = false
 }
 
@@ -456,15 +486,14 @@ func (i *Iface) Send(dst frame.MID, raw []byte) {
 	if dst == frame.BroadcastMID {
 		// Iterate in MID order: map iteration order would make event
 		// sequencing (and thus the whole simulation) nondeterministic.
-		//lint:allow noalloc (cold: broadcast fan-out serves DISCOVER, not the request round trip)
-		for _, mid := range sortediter.Keys(b.ifaces) {
-			if mid != i.mid {
-				b.scheduleDelivery(i.mid, b.ifaces[mid], raw, deliverAt)
+		for _, target := range b.ifaces {
+			if target.mid != i.mid {
+				b.scheduleDelivery(i.mid, target, raw, deliverAt)
 			}
 		}
 		return
 	}
-	if target, ok := b.ifaces[dst]; ok {
+	if target := b.lookup(dst); target != nil {
 		b.scheduleDelivery(i.mid, target, raw, deliverAt)
 		return
 	}

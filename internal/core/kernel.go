@@ -60,11 +60,9 @@ func (n *Node) issueRequest(dst frame.ServerSig, arg int32, put []byte, getSize 
 	tid := n.nextTID()
 	//lint:allow noalloc (counted: one outstanding-request record per REQUEST)
 	o := &outRequest{
-		tid: tid,
-		dst: dst,
-		arg: arg,
-		//lint:allow noalloc (counted: kernel-owned copy of the put buffer)
-		putData: append([]byte(nil), put...),
+		tid:     tid,
+		dst:     dst,
+		arg:     arg,
 		getSize: getSize,
 	}
 	//lint:allow noalloc (amortized: entries are deleted on completion, so the map stays at its peak size)
@@ -84,18 +82,15 @@ func (n *Node) issueRequest(dst frame.ServerSig, arg int32, put []byte, getSize 
 		PutSize: uint32(len(put)),
 		GetSize: uint32(getSize),
 		HasData: len(put) > 0,
-		Data:    o.putData,
+		Data:    put,
 	}
-	var full, retrans []byte
-	if o.req.HasData && n.ep.Config().Window <= 1 {
-		// Retransmissions never carry the data again (§5.2.3); a server
-		// that needs it asks via NeedData at ACCEPT time. The windowed
-		// transport retransmits individual fragments verbatim instead, so
-		// the stripped encoding is never built there.
-		full, retrans = frame.EncodeRequest(&o.req)
-	} else {
-		full = frame.Encode(&o.req)
-	}
+	// Encoding re-points o.req.Data into the encoding: the kernel's snapshot
+	// of the put buffer is the REQUEST on its way out. Retransmissions never
+	// carry the data again (§5.2.3); a server that needs it asks via
+	// NeedData at ACCEPT time. The windowed transport retransmits individual
+	// fragments verbatim instead, so the stripped encoding is never built
+	// there.
+	full, retrans := frame.EncodeRequest(&o.req, o.req.HasData && n.ep.Config().Window <= 1)
 	r := n.newPending(pendingRequestSent)
 	r.o = o
 	n.ep.Send(dst.MID, full, retrans, r.sent)
@@ -117,7 +112,7 @@ func (n *Node) requestSendDone(o *outRequest, res deltat.Result) {
 					// may carry reply data and ask for ours.
 					if acc.NeedData {
 						//lint:allow noalloc (cold: stale-exchange data re-supply)
-						n.ep.SendUrgent(o.dst.MID, frame.Encode(&frame.AcceptData{TID: o.tid, Data: o.putData}), nil, nil)
+						n.ep.SendUrgent(o.dst.MID, frame.Encode(&frame.AcceptData{TID: o.tid, Data: o.req.Data}), nil, nil)
 					}
 					n.applyAccept(o, acc)
 					return
@@ -146,7 +141,7 @@ func (n *Node) requestSendDone(o *outRequest, res deltat.Result) {
 
 // applyAccept completes an outstanding request from an Accept message.
 func (n *Node) applyAccept(o *outRequest, acc *frame.Accept) {
-	putN := min(len(o.putData), int(acc.GetSize))
+	putN := min(len(o.req.Data), int(acc.GetSize))
 	getN := min(o.getSize, len(acc.Data))
 	n.completeRequest(o, StatusSuccess, acc.Arg, acc.Data[:getN], putN, getN)
 }
@@ -308,7 +303,16 @@ func (n *Node) onDatagram(src frame.MID, payload []byte) {
 //
 //lint:hotpath
 func (n *Node) onData(src frame.MID, payload []byte) deltat.Decision {
-	msg, err := frame.Decode(payload)
+	var msg frame.Message
+	var err error
+	if n.ep.DeliversOwned() {
+		// The windowed transport hands each message over in a buffer of its
+		// own, so the decoded data may keep it: that buffer is the one copy
+		// the data makes on the way in.
+		msg, err = frame.DecodeOwned(payload)
+	} else {
+		msg, err = frame.Decode(payload)
+	}
 	if err != nil {
 		return deltat.Decision{Verdict: deltat.VerdictError, Err: frame.ErrStale}
 	}
@@ -473,7 +477,7 @@ func (n *Node) onAccept(src frame.MID, m *frame.Accept) deltat.Decision {
 		// (messages 5–6 of the stale-exchange flow, §5.2.3). The data
 		// is already kernel-owned, so the transfer survives a client
 		// death in the window (no epoch guard).
-		putData := o.putData
+		putData := o.req.Data
 		//lint:allow noalloc (cold: stale-exchange data re-supply)
 		n.k.After(0, func() {
 			//lint:allow noalloc (cold: stale-exchange data re-supply)

@@ -29,10 +29,10 @@ type outRequest struct {
 	tid     frame.TID
 	dst     frame.ServerSig
 	arg     int32
-	putData []byte
 	getSize int
 	// req is the REQUEST message, kept here so encoding it allocates only
-	// the wire bytes.
+	// the wire bytes. Once encoded, req.Data is the kernel's copy of the put
+	// data: a view of the encoding's data region.
 	req       frame.Request
 	delivered bool // acknowledged by the server kernel
 	// cancel coordination

@@ -321,7 +321,11 @@ func (c Config) QuietPeriod() time.Duration { return 2*c.MPL + c.Delta() }
 // Hooks are the upper layer's callbacks. All run in simulation context.
 type Hooks struct {
 	// OnData is invoked for each newly delivered DATA payload and must
-	// return the disposition.
+	// return the disposition. Under the windowed framing the payload is a
+	// buffer the endpoint assembled for this one delivery, which the hook
+	// then owns; under stop-and-wait it is a read-only view of the wire
+	// buffer the medium shares with every receiver of the frame
+	// (Endpoint.DeliversOwned tells which).
 	OnData func(src frame.MID, payload []byte) Decision
 	// OnDatagram is invoked for unreliable datagrams (may be nil).
 	OnDatagram func(src frame.MID, payload []byte)
@@ -424,8 +428,8 @@ func (h *held) occupy(seq uint8, expiry Verdict) *held {
 }
 
 // msg is one reliable message queued toward a destination. A completed
-// stop-and-wait message goes back to its endpoint's freelist; gen counts
-// its uses, so a transmission still scheduled for an earlier use is stale.
+// message goes back to its endpoint's freelist; gen counts its uses, so a
+// transmission still scheduled for an earlier use is stale.
 type msg struct {
 	gen     int
 	payload []byte
@@ -505,7 +509,7 @@ type Endpoint struct {
 	crashed     bool
 	epoch       int // bumped on crash; stale scheduled work checks it
 	// timers and msgs recycle the records of scheduled actions and of
-	// completed stop-and-wait messages (see timer and msg).
+	// completed messages (see timer and msg).
 	timers []*timer
 	msgs   []*msg
 }
@@ -552,6 +556,11 @@ func (e *Endpoint) emit(kind EventKind, peer frame.MID, seq uint8, attempt int) 
 
 // Config returns the protocol configuration.
 func (e *Endpoint) Config() Config { return e.cfg }
+
+// DeliversOwned reports whether OnData hands over payloads the hook owns
+// (the windowed framing) rather than read-only views of a shared wire
+// buffer (stop-and-wait); see Hooks.OnData.
+func (e *Endpoint) DeliversOwned() bool { return e.windowed() }
 
 // CountPatternTableFull forwards a pattern-table saturation rejection to
 // the bus counters (bus.Stats.PatternTableFull). The kernel layer owns the
@@ -632,17 +641,17 @@ func (e *Endpoint) newMsg(payload, retrans []byte, cb func(Result)) *msg {
 		m = e.msgs[n-1]
 		e.msgs = e.msgs[:n-1]
 	} else {
-		//lint:allow noalloc (amortized: one record per new peak of stop-and-wait messages; the windowed framing never returns its records)
+		//lint:allow noalloc (amortized: one record per new peak of messages in flight or queued)
 		m = &msg{}
 	}
 	m.payload, m.retrans, m.cb = payload, retrans, cb
 	return m
 }
 
-// freeMsg returns a completed stop-and-wait message to the freelist.
+// freeMsg returns a completed message to the freelist.
 func (e *Endpoint) freeMsg(m *msg) {
 	*m = msg{gen: m.gen + 1}
-	//lint:allow noalloc (amortized: the freelist grows to the peak number of stop-and-wait messages)
+	//lint:allow noalloc (amortized: the freelist grows to the peak number of messages in flight or queued)
 	e.msgs = append(e.msgs, m)
 }
 
@@ -656,12 +665,22 @@ const (
 	timerAck                             // put an acknowledgement on the wire
 	timerDefAck                          // the plain-ack fallback of a deferred acknowledgement
 	timerHoldExpiry                      // auto-resolve a hold
+
+	// The windowed framing's actions (window.go).
+	timerFrag       // put a FRAG on the wire
+	timerRecover    // the recovery timer of a destination's outstanding fragments
+	timerUnpark     // end a busy-refused message's retry wait
+	timerDeliver    // hand a reassembled message to the upper layer
+	timerLateAck    // the completion ack of a message consumed with VerdictAckDeferred
+	timerCumAckWait // the piggyback wait before a standalone cumulative ack
+	timerCumAck     // put that cumulative ack on the wire
+	timerFragAck    // put an immediate, SACK-bearing FRAGACK on the wire
 )
 
-// timer is one scheduled action of the stop-and-wait path. Records live on
-// their endpoint's freelist: fire is bound once when a record is first
-// allocated, the action's state lives in the fields, and a record goes back
-// to the freelist once it has fired, so the steady state schedules without
+// timer is one scheduled action of either framing. Records live on their
+// endpoint's freelist: fire is bound once when a record is first allocated,
+// the action's state lives in the fields, and a record goes back to the
+// freelist once it has fired, so the steady state schedules without
 // allocating. Every action is dropped if the endpoint crashed since it was
 // scheduled (epoch).
 type timer struct {
@@ -672,14 +691,22 @@ type timer struct {
 	peer  frame.MID
 	p     *peer
 	m     *msg
+	// ws and wr are the windowed send and receive halves the action was
+	// scheduled for; a peer-dead verdict or a record expiry replaces them.
+	ws *wsend
+	wr *wrecv
 	// gen is the generation the action was scheduled at: the message's
-	// (timerTransmit), the peer's timerGen (timerRetransmit), or the held
-	// slot's (timerDefAck, timerHoldExpiry).
-	gen   int
-	seq   uint8
-	first bool
-	data  []byte               // the DATA payload or the ACK's reply
-	f     frame.TransportFrame // the received frame (timerRecv)
+	// (timerTransmit, timerFrag, timerUnpark), the peer's timerGen
+	// (timerRetransmit, timerRecover), the held slot's (timerDefAck,
+	// timerHoldExpiry), or the receive half's ackGen (timerCumAckWait).
+	gen int
+	// parkGen is the message's park generation (timerUnpark).
+	parkGen int
+	seq     uint8 // sequence number: the acknowledged frame's, a FRAG's, or the delivered message's
+	idx     int   // fragment index (timerFrag)
+	first   bool
+	data    []byte               // the DATA or FRAG payload, the ACK's reply, or the delivered message
+	f       frame.TransportFrame // the received frame (timerRecv)
 }
 
 // newTimer takes a timer record from the freelist, or allocates one.
@@ -727,6 +754,24 @@ func (t *timer) run() {
 			}
 		case timerHoldExpiry:
 			e.expireHold(t)
+		case timerFrag:
+			e.wFireFrag(t)
+		case timerRecover:
+			e.wRecover(t)
+		case timerUnpark:
+			e.wUnpark(t)
+		case timerDeliver:
+			e.wHandOver(t)
+		case timerLateAck:
+			e.sendAck(t.peer, t.p, t.seq, nil)
+		case timerCumAckWait:
+			e.wCumAckWaited(t)
+		case timerCumAck:
+			e.wTransmitFragAck(t.peer, t.wr)
+		case timerFragAck:
+			if t.p.wr == t.wr && t.wr.valid {
+				e.wTransmitFragAck(t.peer, t.wr)
+			}
 		}
 	}
 	e.freeTimer(t)
@@ -980,7 +1025,6 @@ func (e *Endpoint) send(dst frame.MID, m *msg) {
 	p := e.peer(dst)
 	if e.windowed() {
 		// Wire format: the windowed framing fragments and pipelines.
-		//lint:allow noalloc (unproven: the windowed framing is outside the REQUEST round-trip proof, which runs stop-and-wait; bulk_lossy measures its allocations)
 		e.wEnqueue(dst, p, m)
 		return
 	}
@@ -1147,7 +1191,6 @@ func (e *Endpoint) process(f *frame.TransportFrame) {
 	}
 	if e.windowed() {
 		// Wire format: FRAG/FRAGACK traffic and message-sequenced acks.
-		//lint:allow noalloc (unproven: the windowed framing is outside the REQUEST round-trip proof, which runs stop-and-wait; bulk_lossy measures its allocations)
 		e.wProcess(f)
 		return
 	}
@@ -1280,7 +1323,6 @@ func (e *Endpoint) applyVerdict(src frame.MID, seq uint8, dec Decision) {
 	if e.windowed() {
 		// Wire format: a windowed message is consumed in message-sequence
 		// order and acknowledged by message sequence.
-		//lint:allow noalloc (unproven: the windowed framing is outside the REQUEST round-trip proof, which runs stop-and-wait; bulk_lossy measures its allocations)
 		e.wApplyVerdict(src, seq, dec)
 		return
 	}

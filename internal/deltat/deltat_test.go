@@ -585,3 +585,68 @@ func TestStopAndWaitSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("a round of %d frames allocates %.2f times, want one wire buffer per frame", frames, allocs)
 	}
 }
+
+// TestWindowedSteadyStateAllocs is TestStopAndWaitSteadyStateAllocs for the
+// windowed framing: a warm pair streaming multi-fragment and single-fragment
+// messages, answered with a reply, a deferred acknowledgement, or a hold the
+// receiver resolves with a reply, allocates one wire buffer per frame plus
+// one reassembly buffer per delivered message — the buffer OnData hands
+// over. Fragment, recovery-timer, delivery and acknowledgement actions,
+// message records, the fragment and in-flight lists, the reassembly list
+// and the receive maps all come from storage the endpoints already own.
+func TestWindowedSteadyStateAllocs(t *testing.T) {
+	var k *sim.Kernel
+	var r *rig
+	delivered := 0
+	reply := []byte("reply")
+	answer := func() {
+		if !r.eps[2].ResolveHold(1, Decision{Verdict: VerdictAck, Reply: reply}) {
+			t.Error("the answer found no hold to resolve")
+		}
+	}
+	r = newWindowRig(t, 1, 8, []frame.MID{1, 2}, map[frame.MID]Hooks{
+		2: {OnData: func(_ frame.MID, payload []byte) Decision {
+			delivered++
+			switch len(payload) % 3 {
+			case 0:
+				return Decision{Verdict: VerdictAck, Reply: reply}
+			case 1:
+				return Decision{Verdict: VerdictAckDeferred}
+			default:
+				k.After(0, answer)
+				return Decision{Verdict: VerdictHold, HoldTimeout: -1}
+			}
+		}},
+	})
+	k = r.k
+	var payloads [][]byte
+	for _, n := range []int{2500, 64, 2001, 65, 1500, 66} { // every verdict, one to three fragments
+		payloads = append(payloads, make([]byte, n))
+	}
+	acked := 0
+	done := func(res Result) {
+		if res.Kind == ResultAcked {
+			acked++
+		}
+	}
+	round := func() {
+		for _, p := range payloads {
+			r.eps[1].Send(2, p, nil, done)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	round() // grows every freelist, list and map to its peak
+	sent, got := r.b.Stats().FramesSent, delivered
+	round()
+	frames, msgs := r.b.Stats().FramesSent-sent, delivered-got
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, round)
+	if want := len(payloads) * (2 + 1 + runs); acked != want {
+		t.Fatalf("%d messages acknowledged, want %d", acked, want)
+	}
+	if want := float64(frames + uint64(msgs)); allocs != want {
+		t.Fatalf("a round of %d frames and %d messages allocates %.2f times, want %.0f: one wire buffer per frame and one reassembly buffer per message", frames, msgs, allocs, want)
+	}
+}

@@ -190,11 +190,23 @@ func (ws *wsend) outstanding() bool {
 	return false
 }
 
+// framed reports whether any of m's fragments is unacknowledged.
+func (ws *wsend) framed(m *msg) bool {
+	for _, fr := range ws.frames {
+		if fr.msg == m {
+			return true
+		}
+	}
+	return false
+}
+
 // take removes and returns the inflight message with msgSeq, or nil.
 func (ws *wsend) take(msgSeq uint8) *msg {
 	for i, m := range ws.inflight {
 		if m.msgSeq == msgSeq {
-			ws.inflight = append(ws.inflight[:i], ws.inflight[i+1:]...)
+			n := copy(ws.inflight[i:], ws.inflight[i+1:])
+			ws.inflight[i+n] = nil
+			ws.inflight = ws.inflight[:i+n]
 			m.done = true
 			m.parked = false
 			m.parkGen++
@@ -211,9 +223,8 @@ type winMsg struct {
 }
 
 // oooFrag is one fragment received ahead of the cumulative point and held
-// for reassembly once the hole fills. The payload is copied out of the
-// shared bus buffer at buffering time — the drain happens on a later event,
-// past the buffer's lifetime.
+// for reassembly once the hole fills. The payload is a view of the wire
+// buffer the fragment arrived in, which no one writes once it is sent.
 type oooFrag struct {
 	msgSeq  uint8
 	idx     uint8
@@ -229,14 +240,15 @@ type wrecv struct {
 	next  uint8 // next message sequence to deliver
 
 	// Reassembly of the (single) message currently arriving in the
-	// contiguous frame stream.
+	// contiguous frame stream. asm holds views of its fragments' wire
+	// buffers until the final fragment arrives (assemble).
 	asmOpen bool
 	asmSeq  uint8
 	asmIdx  int
-	asm     []byte
+	asm     [][]byte
 
-	buffered map[uint8]*winMsg // reassembled, not yet delivered
-	skipped  map[uint8]bool    // delivered ahead of order during busyWait
+	buffered map[uint8]winMsg // reassembled, not yet delivered
+	skipped  map[uint8]bool   // delivered ahead of order during busyWait
 
 	// Out-of-order fragments keyed by frame sequence. Bounded by
 	// maxOOOFrags with deterministic farthest-first eviction; drained into
@@ -278,6 +290,7 @@ func (e *Endpoint) wEnqueue(dst frame.MID, p *peer, m *msg) {
 		// cwnd opens at the operator ceiling: on the known-capacity LAN the
 		// AIMD search runs downward from loss evidence, so a clean link
 		// runs at the full window from the first message.
+		//lint:allow noalloc (steady-state: one send half per peer, replaced only after a peer-dead verdict)
 		p.ws = &wsend{cwnd: e.window()}
 		if q := p.quietUntil; q > e.k.Now() {
 			// Reconnect after a peer-dead verdict: hold the first frame
@@ -297,6 +310,7 @@ func (e *Endpoint) wEnqueue(dst frame.MID, p *peer, m *msg) {
 func (e *Endpoint) wrecvFor(src frame.MID) *peer {
 	p := e.conn(src)
 	if p.wr == nil {
+		//lint:allow noalloc (steady-state: one receive half per peer, replaced only after a peer-dead verdict)
 		p.wr = &wrecv{}
 	}
 	return p
@@ -336,6 +350,7 @@ func (e *Endpoint) wPump(dst frame.MID, p *peer) {
 				// the future) must not count against the peer.
 				e.startClock(p, max(e.k.Now(), ws.readyAt))
 			}
+			//lint:allow noalloc (amortized: the in-flight list grows to the window ceiling, then is reused)
 			ws.inflight = append(ws.inflight, m)
 			continue
 		}
@@ -349,6 +364,7 @@ func (e *Endpoint) wPump(dst frame.MID, p *peer) {
 		if idx == m.frags-1 {
 			m.lastSeq = seq
 		}
+		//lint:allow noalloc (amortized: the fragment list grows to maxInflightFrags at most, then is reused)
 		ws.frames = append(ws.frames, wfrag{seq: seq, msg: m, idx: idx})
 		ws.frames[len(ws.frames)-1].wireAt = e.wTransmitFrag(dst, p, m, idx, seq)
 	}
@@ -382,29 +398,36 @@ func (e *Endpoint) wTransmitFrag(dst frame.MID, p *peer, m *msg, idx int, seq ui
 	if submit < ws.lineFreeAt {
 		submit = ws.lineFreeAt
 	}
-	wire := (&frame.TransportFrame{Kind: frame.TransportFrag, Payload: chunk}).WireSize()
+	shape := frame.TransportFrame{Kind: frame.TransportFrag, Payload: chunk}
+	wire := shape.WireSize()
 	ws.lineFreeAt = submit + e.wireTime(wire)
-	epoch := e.epoch
-	e.k.After(submit-now, func() {
-		if epoch != e.epoch || m.done || m.parked {
-			return
-		}
-		f := &frame.TransportFrame{
-			Kind:      frame.TransportFrag,
-			Src:       e.mid,
-			Dst:       dst,
-			Seq:       seq,
-			ConnOpen:  true,
-			MsgSeq:    m.msgSeq,
-			FragIndex: uint8(idx),
-			FragEnd:   idx == m.frags-1,
-			Urgent:    m.urgent,
-			Payload:   chunk,
-		}
-		e.attachCumAck(f, p)
-		e.transmit(f)
-	})
+	t := e.newTimer(timerFrag, dst, p)
+	t.m, t.gen, t.idx, t.seq, t.data = m, m.gen, idx, seq, chunk
+	e.k.After(submit-now, t.fire)
 	return ws.lineFreeAt
+}
+
+// wFireFrag puts a scheduled FRAG on the wire, unless its message
+// completed, parked or went back to the freelist meanwhile.
+func (e *Endpoint) wFireFrag(t *timer) {
+	m := t.m
+	if m.gen != t.gen || m.done || m.parked {
+		return
+	}
+	f := frame.TransportFrame{
+		Kind:      frame.TransportFrag,
+		Src:       e.mid,
+		Dst:       t.peer,
+		Seq:       t.seq,
+		ConnOpen:  true,
+		MsgSeq:    m.msgSeq,
+		FragIndex: uint8(t.idx),
+		FragEnd:   t.idx == m.frags-1,
+		Urgent:    m.urgent,
+		Payload:   t.data,
+	}
+	e.attachCumAck(&f, t.p)
+	e.transmit(&f)
 }
 
 // wArm starts the per-destination recovery timer if it is not already
@@ -452,38 +475,44 @@ func (e *Endpoint) wArm(dst frame.MID, p *peer) {
 		wait += p.quietUntil - e.k.Now()
 	}
 	wait += e.jitter()
-	epoch := e.epoch
-	e.k.After(wait, func() {
-		if epoch != e.epoch || p.ws != ws || p.timerGen != gen {
+	t := e.newTimer(timerRecover, dst, p)
+	t.ws, t.gen = ws, gen
+	e.k.After(wait, t.fire)
+}
+
+// wRecover is the recovery timer armed by wArm: it runs a recovery round,
+// or reports the peer dead past its deadline.
+func (e *Endpoint) wRecover(t *timer) {
+	dst, p, ws := t.peer, t.p, t.ws
+	if p.ws != ws || p.timerGen != t.gen {
+		return
+	}
+	ws.armed = false
+	if !ws.outstanding() {
+		return
+	}
+	if e.k.Now() >= p.deadline {
+		busy := max(ws.readyAt, ws.lineFreeAt)
+		if busy > e.k.Now() {
+			// The silence is our own doing: a deep window's recovery
+			// round serializes through the CPU and the single transmitter
+			// for longer than DeadAfter, so frames the peer could answer
+			// (including §5.2.3 probes) have not all left yet. The
+			// no-response verdict only counts from the moment the last of
+			// them is on the wire — and piling another round onto the
+			// backlog would just deepen it. This cannot defer death
+			// forever: each recovery round adds at most
+			// wireTime(outstanding) to the backlog while the timer waits
+			// interval + 3*wireTime(outstanding), so a truly dead peer's
+			// backlog drains and the clock fires.
+			p.deadline = busy + e.cfg.DeadAfter()
+			e.wArm(dst, p)
 			return
 		}
-		ws.armed = false
-		if !ws.outstanding() {
-			return
-		}
-		if e.k.Now() >= p.deadline {
-			busy := max(ws.readyAt, ws.lineFreeAt)
-			if busy > e.k.Now() {
-				// The silence is our own doing: a deep window's recovery
-				// round serializes through the CPU and the single
-				// transmitter for longer than DeadAfter, so frames the
-				// peer could answer (including §5.2.3 probes) have not
-				// all left yet. The no-response verdict only counts from
-				// the moment the last of them is on the wire — and piling
-				// another round onto the backlog would just deepen it.
-				// This cannot defer death forever: each recovery round
-				// adds at most wireTime(outstanding) to the backlog while
-				// the timer waits interval + 3*wireTime(outstanding), so
-				// a truly dead peer's backlog drains and the clock fires.
-				p.deadline = busy + e.cfg.DeadAfter()
-				e.wArm(dst, p)
-				return
-			}
-			e.peerDead(dst, p)
-			return
-		}
-		e.wRetransmit(dst, p)
-	})
+		e.peerDead(dst, p)
+		return
+	}
+	e.wRetransmit(dst, p)
 }
 
 // wCancelTimer stops the recovery timer and resets the backoff, called on
@@ -560,12 +589,8 @@ func (e *Endpoint) wProbeStarved(dst frame.MID, p *peer) {
 	if ws.probeWireAt > e.k.Now() {
 		return // the previous probe has not even left the wire yet
 	}
-	framed := make(map[*msg]bool, len(ws.frames))
-	for _, fr := range ws.frames {
-		framed[fr.msg] = true
-	}
 	for _, m := range ws.inflight {
-		if m.parked || m.next < m.frags || framed[m] {
+		if m.parked || m.next < m.frags || ws.framed(m) {
 			continue
 		}
 		e.iface.CountFragmentRetransmit()
@@ -600,13 +625,15 @@ func (e *Endpoint) wShrinkWindow(dst frame.MID, ws *wsend) {
 
 // wDropFrames removes m's fragments from the unacknowledged-frame list.
 func (e *Endpoint) wDropFrames(ws *wsend, m *msg) {
-	kept := ws.frames[:0]
+	n := 0
 	for _, fr := range ws.frames {
 		if fr.msg != m {
-			kept = append(kept, fr)
+			ws.frames[n] = fr
+			n++
 		}
 	}
-	ws.frames = kept
+	clear(ws.frames[n:])
+	ws.frames = ws.frames[:n]
 }
 
 // wProcess dispatches one received frame in windowed mode. While fragments
@@ -660,12 +687,18 @@ func (e *Endpoint) wProcess(f *frame.TransportFrame) {
 // would charge phantom CPU time (the spurious-retransmit cliff the
 // regression test in window_test.go pins).
 func (e *Endpoint) wAckAdvance(ws *wsend, cum uint8) bool {
-	progress := false
-	for len(ws.frames) > 0 && seqLE(ws.frames[0].seq, cum) {
-		ws.frames = ws.frames[1:]
-		progress = true
+	n := 0
+	for n < len(ws.frames) && seqLE(ws.frames[n].seq, cum) {
+		n++
 	}
-	return progress
+	if n == 0 {
+		return false
+	}
+	// Shift the survivors down so the list keeps its storage.
+	k := copy(ws.frames, ws.frames[n:])
+	clear(ws.frames[k:])
+	ws.frames = ws.frames[:k]
+	return true
 }
 
 // wHandleCumAck applies a cumulative frame acknowledgement (standalone or
@@ -778,8 +811,11 @@ func (e *Endpoint) wHandleMsgAck(src frame.MID, p *peer, f *frame.TransportFrame
 			e.emit(EvWindowIncrease, src, 0, ws.cwnd)
 		}
 	}
-	if m.cb != nil {
-		m.cb(Result{Kind: ResultAcked, Reply: f.Payload})
+	cb := m.cb
+	e.freeMsg(m)
+	if cb != nil {
+		//lint:allow noalloc (indirect: send-completion callback; its targets are //lint:hotpath roots in soda/internal/core)
+		cb(Result{Kind: ResultAcked, Reply: f.Payload})
 	}
 	e.wCancelTimer(p)
 	e.wPump(src, p)
@@ -810,16 +846,9 @@ func (e *Endpoint) wHandleNack(src frame.MID, p *peer, f *frame.TransportFrame) 
 		m.parkGen++
 		m.next = 0
 		e.wDropFrames(ws, m)
-		gen := m.parkGen
-		epoch := e.epoch
-		e.k.After(e.cfg.BusyRetryInterval, func() {
-			if epoch != e.epoch || p.ws != ws || m.done ||
-				!m.parked || m.parkGen != gen {
-				return
-			}
-			m.parked = false
-			e.wPump(src, p)
-		})
+		t := e.newTimer(timerUnpark, src, p)
+		t.ws, t.m, t.gen, t.parkGen = ws, m, m.gen, m.parkGen
+		e.k.After(e.cfg.BusyRetryInterval, t.fire)
 		e.wCancelTimer(p)
 		e.wArm(src, p) // still covers the other in-flight messages
 		return
@@ -833,20 +862,35 @@ func (e *Endpoint) wHandleNack(src frame.MID, p *peer, f *frame.TransportFrame) 
 	// messages one per round without tripping peer-dead.
 	p.deadline = e.k.Now() + e.cfg.DeadAfter()
 	e.wDropFrames(ws, m)
-	if m.cb != nil {
-		m.cb(Result{Kind: ResultError, Err: f.Err})
+	cb := m.cb
+	e.freeMsg(m)
+	if cb != nil {
+		//lint:allow noalloc (cold: error-NACK completion)
+		cb(Result{Kind: ResultError, Err: f.Err})
 	}
 	e.wCancelTimer(p)
 	e.wPump(src, p)
+}
+
+// wUnpark ends a busy-refused message's retry wait: the message
+// re-fragments from the start, unless it completed, was parked again, or
+// went back to the freelist meanwhile.
+func (e *Endpoint) wUnpark(t *timer) {
+	m := t.m
+	if t.p.ws != t.ws || m.gen != t.gen || m.done || !m.parked || m.parkGen != t.parkGen {
+		return
+	}
+	m.parked = false
+	e.wPump(t.peer, t.p)
 }
 
 // wHandleFrag is the receive side: frame acceptance against the cumulative
 // point, reassembly of the contiguous stream, duplicate replay from the
 // reply cache, and buffering of completed messages for in-order delivery.
 // Anything out of order is banked in the bounded per-peer ooo buffer and
-// answered with a SACK so the sender learns the exact holes. Payloads are
-// always copied out of the shared bus buffer — delivery (and ooo draining)
-// happens on a later event, past the buffer's lifetime.
+// answered with a SACK so the sender learns the exact holes. Fragments stay
+// views of their wire buffers until a message's final fragment arrives;
+// then its data is copied once, into a buffer the receiver owns.
 func (e *Endpoint) wHandleFrag(src frame.MID, p *peer, f *frame.TransportFrame) {
 	if f.AckPresent {
 		e.wHandleCumAck(src, p, f.AckSeq)
@@ -919,7 +963,7 @@ func (e *Endpoint) wAcceptStream(src frame.MID, p *peer, msgSeq, fragIdx uint8, 
 		// The sender restarted the message (busy retry) or moved on;
 		// whatever was accumulating is void.
 		wr.asmOpen = false
-		wr.asm = nil
+		wr.dropAssembly()
 	}
 	if !wr.asmOpen {
 		if fragIdx != 0 {
@@ -933,17 +977,16 @@ func (e *Endpoint) wAcceptStream(src frame.MID, p *peer, msgSeq, fragIdx uint8, 
 		wr.asmOpen = true
 		wr.asmSeq = msgSeq
 		wr.asmIdx = 0
-		wr.asm = nil
 	}
 	wr.asmIdx++
 	if !end {
-		wr.asm = append(wr.asm, payload...)
+		//lint:allow noalloc (amortized: the fragment list grows to the most fragments one message has had, then is reused)
+		wr.asm = append(wr.asm, payload)
 		e.wScheduleCumAck(src, p)
 		return
 	}
 	wr.asmOpen = false
-	full := append(wr.asm, payload...) // copies out of the bus buffer
-	wr.asm = nil
+	full := wr.assemble(payload)
 	if cr, ok := wr.cache[msgSeq]; ok {
 		// A full re-delivery of an answered message (busy retry whose
 		// first delivery was consumed, with the answer lost): replay.
@@ -955,11 +998,41 @@ func (e *Endpoint) wAcceptStream(src frame.MID, p *peer, msgSeq, fragIdx uint8, 
 		return // stale incarnation of an already-consumed message
 	}
 	if wr.buffered == nil {
-		wr.buffered = make(map[uint8]*winMsg)
+		//lint:allow noalloc (steady-state: one map per receive half, reused across messages)
+		wr.buffered = make(map[uint8]winMsg)
 	}
-	wr.buffered[msgSeq] = &winMsg{payload: full, urgent: urgent}
+	//lint:allow noalloc (amortized: entries are deleted at delivery, so the map stays at its peak size)
+	wr.buffered[msgSeq] = winMsg{payload: full, urgent: urgent}
 	e.wScheduleCumAck(src, p)
 	e.wTryDeliver(src, p)
+}
+
+// assemble copies the open assembly's fragments, then last, into one
+// exact-size buffer the receiver owns — the one copy a windowed message's
+// data makes on its way in — and empties the assembly.
+func (wr *wrecv) assemble(last []byte) []byte {
+	n := len(last)
+	for _, b := range wr.asm {
+		n += len(b)
+	}
+	if n == 0 {
+		return nil
+	}
+	//lint:allow noalloc (counted: one exact-size buffer per windowed message carrying data, handed to the upper layer)
+	full := make([]byte, n)
+	off := 0
+	for _, b := range wr.asm {
+		off += copy(full[off:], b)
+	}
+	copy(full[off:], last)
+	wr.dropAssembly()
+	return full
+}
+
+// dropAssembly empties the fragment list, keeping its storage.
+func (wr *wrecv) dropAssembly() {
+	clear(wr.asm)
+	wr.asm = wr.asm[:0]
 }
 
 // wBufferOOO banks an out-of-order fragment for later draining and answers
@@ -981,6 +1054,7 @@ func (e *Endpoint) wBufferOOO(src frame.MID, p *peer, f *frame.TransportFrame) {
 		drop := false
 		if len(wr.ooo) >= maxOOOFrags {
 			worstSeq, worstDist := f.Seq, dist
+			//lint:allow noalloc (cold: eviction never fires against a compliant sender)
 			for _, seq := range sortediter.Keys(wr.ooo) {
 				if d := seq - wr.cum; d > worstDist {
 					worstSeq, worstDist = seq, d
@@ -994,14 +1068,16 @@ func (e *Endpoint) wBufferOOO(src frame.MID, p *peer, f *frame.TransportFrame) {
 		}
 		if !drop {
 			if wr.ooo == nil {
+				//lint:allow noalloc (steady-state: one map per receive half, reused across losses)
 				wr.ooo = make(map[uint8]oooFrag)
 			}
+			//lint:allow noalloc (amortized: entries are deleted as the hole fills, and the map is bounded by maxOOOFrags)
 			wr.ooo[f.Seq] = oooFrag{
 				msgSeq:  f.MsgSeq,
 				idx:     f.FragIndex,
 				end:     f.FragEnd,
 				urgent:  f.Urgent,
-				payload: append([]byte(nil), f.Payload...),
+				payload: f.Payload,
 			}
 		}
 	}
@@ -1015,9 +1091,9 @@ func (wr *wrecv) sackBits() uint64 {
 		return 0
 	}
 	var bits uint64
-	for _, seq := range sortediter.Keys(wr.ooo) {
-		if d := seq - wr.cum; d >= 2 && d < 2+sackSpan {
-			bits |= 1 << (d - 2)
+	for i := uint8(0); i < sackSpan; i++ {
+		if _, ok := wr.ooo[wr.cum+2+i]; ok {
+			bits |= 1 << i
 		}
 	}
 	return bits
@@ -1057,9 +1133,10 @@ func (e *Endpoint) wTryDeliver(src frame.MID, p *peer) {
 		wr.busyWait = false
 	}
 	seq := wr.next
-	m := wr.buffered[seq]
-	if m == nil && wr.busyWait {
+	m, ok := wr.buffered[seq]
+	if !ok && wr.busyWait {
 		bestDist := -1
+		//lint:allow noalloc (cold: an urgent message overtaking a busy-refused one)
 		for _, k := range sortediter.Keys(wr.buffered) {
 			if !wr.buffered[k].urgent {
 				continue
@@ -1071,24 +1148,25 @@ func (e *Endpoint) wTryDeliver(src frame.MID, p *peer) {
 			}
 		}
 		if bestDist >= 0 {
-			m = wr.buffered[seq]
+			m, ok = wr.buffered[seq], true
 		}
 	}
-	if m == nil {
+	if !ok {
 		return
 	}
 	delete(wr.buffered, seq)
 	wr.delivering = true
-	payload := m.payload
-	msgSeq := seq
-	epoch := e.epoch
-	e.k.After(0, func() {
-		if epoch != e.epoch {
-			return
-		}
-		dec := e.hooks.OnData(src, payload)
-		e.wApplyVerdict(src, msgSeq, dec)
-	})
+	t := e.newTimer(timerDeliver, src, p)
+	t.seq, t.data = seq, m.payload
+	e.k.After(0, t.fire)
+}
+
+// wHandOver gives a reassembled message to the upper layer and applies its
+// verdict.
+func (e *Endpoint) wHandOver(t *timer) {
+	//lint:allow noalloc (indirect: kernel OnData hook, itself a //lint:hotpath root in soda/internal/core)
+	dec := e.hooks.OnData(t.peer, t.data)
+	e.wApplyVerdict(t.peer, t.seq, dec)
 }
 
 // wApplyVerdict is the windowed counterpart of applyVerdict: it disposes of
@@ -1106,13 +1184,9 @@ func (e *Endpoint) wApplyVerdict(src frame.MID, msgSeq uint8, dec Decision) {
 		// No piggyback rides a windowed completion ack, so the deferral
 		// degrades to a plain ack after one ack-delay (A).
 		e.wConsume(src, p, msgSeq, cachedReply{kind: replyAck})
-		epoch := e.epoch
-		e.k.After(e.cfg.A, func() {
-			if epoch != e.epoch {
-				return
-			}
-			e.sendAck(src, p, msgSeq, nil)
-		})
+		t := e.newTimer(timerLateAck, src, p)
+		t.seq = msgSeq
+		e.k.After(e.cfg.A, t.fire)
 	case VerdictBusy:
 		// Not consumed: the sender re-fragments after its busy-retry
 		// interval; meanwhile urgent buffered messages may overtake.
@@ -1140,20 +1214,26 @@ func (e *Endpoint) wConsume(src frame.MID, p *peer, msgSeq uint8, cr cachedReply
 		// An urgent message consumed ahead of order during busyWait; the
 		// head pointer skips it when it finally advances.
 		if wr.skipped == nil {
+			//lint:allow noalloc (cold: an urgent message overtaking a busy-refused one)
 			wr.skipped = make(map[uint8]bool)
 		}
+		//lint:allow noalloc (cold: an urgent message overtaking a busy-refused one)
 		wr.skipped[msgSeq] = true
 	}
 	if wr.cache == nil {
+		//lint:allow noalloc (steady-state: one map per receive half, reused across messages)
 		wr.cache = make(map[uint8]cachedReply)
 	}
 	if _, ok := wr.cache[msgSeq]; !ok {
+		//lint:allow noalloc (amortized: the age list is bounded by replyCacheCap+1 and keeps its storage)
 		wr.cacheAge = append(wr.cacheAge, msgSeq)
 		if len(wr.cacheAge) > replyCacheCap {
 			delete(wr.cache, wr.cacheAge[0])
-			wr.cacheAge = wr.cacheAge[1:]
+			// Shift down so the age list keeps its storage.
+			wr.cacheAge = wr.cacheAge[:copy(wr.cacheAge, wr.cacheAge[1:])]
 		}
 	}
+	//lint:allow noalloc (amortized: the cache is bounded by replyCacheCap, evicting FIFO)
 	wr.cache[msgSeq] = cr
 	e.wTryDeliver(src, p)
 }
@@ -1169,22 +1249,25 @@ func (e *Endpoint) wScheduleCumAck(src frame.MID, p *peer) {
 	}
 	wr.ackPending = true
 	wr.ackGen++
-	gen := wr.ackGen
 	delay := e.cfg.A + 2*e.wireTime(DefaultFragSize)
-	epoch := e.epoch
-	e.k.After(delay, func() {
-		if epoch != e.epoch || p.wr != wr || wr.ackGen != gen || !wr.ackPending {
-			return
-		}
-		wr.ackPending = false
-		d := e.chargeSend(false, 0)
-		e.k.After(d, func() {
-			if epoch != e.epoch {
-				return
-			}
-			e.wTransmitFragAck(src, wr)
-		})
-	})
+	t := e.newTimer(timerCumAckWait, src, p)
+	t.wr, t.gen = wr, wr.ackGen
+	e.k.After(delay, t.fire)
+}
+
+// wCumAckWaited ends the piggyback wait of wScheduleCumAck: if nothing
+// carried the cumulative ack meanwhile, the standalone one is charged and
+// scheduled.
+func (e *Endpoint) wCumAckWaited(t *timer) {
+	wr := t.wr
+	if t.p.wr != wr || wr.ackGen != t.gen || !wr.ackPending {
+		return
+	}
+	wr.ackPending = false
+	d := e.chargeSend(false, 0)
+	a := e.newTimer(timerCumAck, t.peer, t.p)
+	a.wr = wr
+	e.k.After(d, a.fire)
 }
 
 // wSendFragAck transmits a standalone FRAGACK immediately (after the send
@@ -1197,13 +1280,9 @@ func (e *Endpoint) wSendFragAck(src frame.MID, p *peer) {
 	wr.ackPending = false
 	wr.ackGen++
 	d := e.chargeSend(false, 0)
-	epoch := e.epoch
-	e.k.After(d, func() {
-		if epoch != e.epoch || p.wr != wr || !wr.valid {
-			return
-		}
-		e.wTransmitFragAck(src, wr)
-	})
+	t := e.newTimer(timerFragAck, src, p)
+	t.wr = wr
+	e.k.After(d, t.fire)
 }
 
 // wTransmitFragAck builds and transmits the standalone FRAGACK from the
@@ -1219,12 +1298,13 @@ func (e *Endpoint) wTransmitFragAck(src frame.MID, wr *wrecv) {
 		e.iface.CountSackBlocks(blocks)
 		e.emit(EvSackTx, src, wr.cum, blocks)
 	}
-	e.transmit(&frame.TransportFrame{
+	f := frame.TransportFrame{
 		Kind:     frame.TransportFragAck,
 		Src:      e.mid,
 		Dst:      src,
 		Seq:      wr.cum,
 		SackBits: bits,
 		ConnOpen: true,
-	})
+	}
+	e.transmit(&f)
 }

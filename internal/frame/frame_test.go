@@ -263,3 +263,62 @@ func TestDecodeNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEncodeRequestSharesOneBuffer pins EncodeRequest's layout: the full
+// encoding, then (with retransmissions) the data-less copy, in one
+// exact-size buffer, and the message's Data re-pointed into the full
+// encoding rather than left on the caller's buffer.
+func TestEncodeRequestSharesOneBuffer(t *testing.T) {
+	for _, withRetrans := range []bool{false, true} {
+		put := []byte("put data")
+		m := &Request{TID: 9, Pattern: WellKnownPattern(5), PutSize: uint32(len(put)), HasData: true, Data: put}
+		want := Encode(m)
+		full, retrans := EncodeRequest(m, withRetrans)
+		if !bytes.Equal(full, want) {
+			t.Fatalf("withRetrans=%v: full encoding %x, want %x", withRetrans, full, want)
+		}
+		if cap(full) != len(full) {
+			t.Errorf("withRetrans=%v: full encoding has spare capacity %d", withRetrans, cap(full)-len(full))
+		}
+		if &m.Data[len(m.Data)-1] != &full[len(full)-1] {
+			t.Errorf("withRetrans=%v: Data is not a view of the encoding", withRetrans)
+		}
+		put[0] = '!'
+		if string(m.Data) != "put data" {
+			t.Errorf("withRetrans=%v: Data followed the caller's buffer: %q", withRetrans, m.Data)
+		}
+		stripped := *m
+		stripped.HasData, stripped.Data = false, nil
+		switch {
+		case !withRetrans && retrans != nil:
+			t.Errorf("retrans = %x without withRetrans", retrans)
+		case withRetrans && !bytes.Equal(retrans, Encode(&stripped)):
+			t.Errorf("retrans = %x, want the data-less encoding %x", retrans, Encode(&stripped))
+		}
+	}
+}
+
+// TestDecodeOwnedKeepsTheBuffer checks that DecodeOwned's data is a view of
+// the buffer handed over while Decode's is a copy, and that both decode the
+// same message.
+func TestDecodeOwnedKeepsTheBuffer(t *testing.T) {
+	b := Encode(&Accept{TID: 4, Arg: 2, GetSize: 16, Data: []byte("reply data")})
+	copied, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned, err := DecodeOwned(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(copied, owned) {
+		t.Fatalf("Decode %+v, DecodeOwned %+v", copied, owned)
+	}
+	b[len(b)-1] = '!'
+	if got := string(copied.(*Accept).Data); got != "reply data" {
+		t.Errorf("Decode's data follows the buffer: %q", got)
+	}
+	if got := string(owned.(*Accept).Data); got != "reply dat!" {
+		t.Errorf("DecodeOwned's data is not a view of the buffer: %q", got)
+	}
+}

@@ -586,6 +586,15 @@ func (n *Network) Wait(max time.Duration) bool {
 // (quiescence, measured on the wall activity clock), or until max elapses;
 // true means quiescent. Deadline-based by construction — callers never
 // guess a sleep.
+//
+// A parked driver counts as quiescent: once it has parked (its done
+// predicate held, as after Wait returned true, or Close), WaitIdle returns
+// true at once, before settle has passed and whatever the endpoints still
+// owe their peers — a parked driver sends no frame and fires no timer. So
+// Wait followed by WaitIdle settles nothing. A caller that must let the
+// network settle keeps the driver running while it waits, for example
+// with a done predicate that holds only once its condition has held for
+// the settle time.
 func (n *Network) WaitIdle(settle, max time.Duration) bool {
 	deadline := time.Now().Add(max)
 	for {

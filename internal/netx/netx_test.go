@@ -174,6 +174,35 @@ func TestTwoNetworksExchange(t *testing.T) {
 	}
 }
 
+// TestWaitIdleReturnsAtOnceOnParkedDriver pins WaitIdle's documented
+// shortcut: a parked driver counts as quiescent, so WaitIdle after Wait
+// returns true at once, long before its settle time, whatever the endpoint
+// still owes its peers. Settling takes a driver that keeps running.
+func TestWaitIdleReturnsAtOnceOnParkedDriver(t *testing.T) {
+	server := newNode(t, 2, deltat.Hooks{})
+	client := newNode(t, 1, deltat.Hooks{})
+	defer closeAll(t, server, client)
+	server.n.SetPeer(1, client.n.Addr())
+	client.n.SetPeer(2, server.n.Addr())
+	var res *deltat.Result
+	client.k.At(0, func() {
+		client.ep.Send(2, []byte("ping"), nil, func(got deltat.Result) { res = &got })
+	})
+	server.n.Start(nil)
+	client.n.Start(func() bool { return res != nil })
+	if !client.n.Wait(waitMax) {
+		t.Fatal("client driver did not park: no ACK within the deadline")
+	}
+	const settle = time.Minute
+	start := time.Now()
+	if !client.n.WaitIdle(settle, 2*settle) {
+		t.Fatal("WaitIdle on a parked driver reported no quiescence")
+	}
+	if waited := time.Since(start); waited >= settle/2 {
+		t.Fatalf("WaitIdle on a parked driver waited %v; it returns at once", waited)
+	}
+}
+
 func TestLoopbackDelivery(t *testing.T) {
 	k := sim.New(1)
 	k.SetEventLimit(2_000_000)

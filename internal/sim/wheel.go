@@ -29,6 +29,12 @@ const (
 	wheelBaseShift = 16
 
 	wheelOccWords = wheelSlots / 64
+
+	// wheelNearLevels is how many levels live inline in the wheel. Levels
+	// 0-1 span 4.3 s of virtual time, which short runs rarely leave; the
+	// slot tables of the levels above (6 KB each) are allocated on first
+	// use.
+	wheelNearLevels = 2
 )
 
 // wheelShift is the bit position where level l's slot index starts.
@@ -47,9 +53,10 @@ type wheel struct {
 	cur       Time // start of the level-0 slot currently draining
 	bucketEnd Time // exclusive end of that slot; pushes below it join the bucket
 	bucket    eventHeap
-	levels    [wheelLevels][wheelSlots][]*event
-	occ       [wheelLevels][wheelOccWords]uint64 // per-level slot occupancy bitmaps
-	overflow  []*event                           // events beyond the top level's span
+	near      [wheelNearLevels]wheelLevel
+	far       [wheelLevels - wheelNearLevels]*wheelLevel // nil until first filed into
+	occ       [wheelLevels][wheelOccWords]uint64         // per-level slot occupancy bitmaps
+	overflow  []*event                                   // events beyond the top level's span
 	// spare holds drained slot arrays, cleared, for place to reuse when it
 	// fills an empty slot. Retained slot storage is then bounded by the peak
 	// number of simultaneously occupied slots rather than by every slot the
@@ -58,7 +65,25 @@ type wheel struct {
 	size  int
 }
 
+// wheelLevel is one level's slot table.
+type wheelLevel [wheelSlots][]*event
+
 func newWheel() *wheel { return &wheel{} }
+
+// level returns level l's slot table, allocating a far level's on first
+// use.
+func (w *wheel) level(l int) *wheelLevel {
+	if l < wheelNearLevels {
+		return &w.near[l]
+	}
+	f := w.far[l-wheelNearLevels]
+	if f == nil {
+		//lint:allow noalloc (amortized: at most one table per far level per wheel, on the first event filed that far out)
+		f = new(wheelLevel)
+		w.far[l-wheelNearLevels] = f
+	}
+	return f
+}
 
 func (w *wheel) len() int { return w.size }
 
@@ -80,7 +105,8 @@ func (w *wheel) place(ev *event) {
 		above := wheelShift(l + 1)
 		if ev.t>>above == w.cur>>above {
 			s := int(ev.t>>wheelShift(l)) & (wheelSlots - 1)
-			slot := w.levels[l][s]
+			lv := w.level(l)
+			slot := lv[s]
 			if cap(slot) == 0 {
 				if n := len(w.spare); n > 0 {
 					slot = w.spare[n-1]
@@ -89,7 +115,7 @@ func (w *wheel) place(ev *event) {
 				}
 			}
 			//lint:allow noalloc (amortized: a slot array grows to its peak occupancy, then circulates through the spare list)
-			w.levels[l][s] = append(slot, ev)
+			lv[s] = append(slot, ev)
 			w.occ[l][s>>6] |= 1 << (uint(s) & 63)
 			return
 		}
@@ -99,9 +125,11 @@ func (w *wheel) place(ev *event) {
 }
 
 // takeSlot removes and returns slot s of level l, clearing its occupancy bit.
+// The slot is occupied, so its level's table exists.
 func (w *wheel) takeSlot(l, s int) []*event {
-	evs := w.levels[l][s]
-	w.levels[l][s] = nil
+	lv := w.level(l)
+	evs := lv[s]
+	lv[s] = nil
 	w.occ[l][s>>6] &^= 1 << (uint(s) & 63)
 	return evs
 }

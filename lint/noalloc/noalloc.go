@@ -23,14 +23,15 @@
 //   - Counted suppressions: every allocation that exists on the hot path
 //     today carries //lint:allow noalloc (counted: ...). The suppression
 //     budget enumerates the allocs/op measured by
-//     BenchmarkRequestRoundTrip, so a new allocation anywhere on the path
-//     is an unsuppressed finding and fails CI — the number can only go
-//     down. The proof trusts each amortized: reason; the root package's
-//     TestRequestRoundTripAllocBudget checks the count dynamically, which
-//     is what caught a false one. A suppression on a call site
-//     additionally prunes traversal into the callee (the annotation
-//     vouches for the subtree), which is how cold branches (e.g. the
-//     windowed transport) stay out of scope.
+//     BenchmarkRequestRoundTrip and BenchmarkBulkPut, so a new allocation
+//     anywhere on the path is an unsuppressed finding and fails CI — the
+//     number can only go down. The proof trusts each amortized: reason;
+//     the root package's TestRequestRoundTripAllocBudget and
+//     TestBulkPutAllocBudget check the count dynamically, which is what
+//     caught a false one. A suppression on a call site additionally
+//     prunes traversal into the callee (the annotation vouches for the
+//     subtree), which is how cold branches (e.g. peer-death teardown)
+//     stay out of scope.
 //   - Bound-once callbacks: scheduled work on the path rides records its
 //     owner recycles, each with a method value bound when the record is
 //     first allocated. That binding site carries an amortized: allow, and

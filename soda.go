@@ -883,6 +883,13 @@ func (nw *Network) WaitSocket(max time.Duration) bool {
 // moving, no timers firing — for settle, or until max elapses; it reports
 // whether quiescence was reached. This is how a server-side harness knows
 // its peers are done without a completion predicate of its own.
+//
+// A parked driver counts as quiescent, so after WaitSocket has returned
+// true WaitSocketIdle returns true at once, and nothing settles: a parked
+// driver answers no peer and sends none of the acknowledgements its
+// machines still owe. A caller that must settle keeps the driver running
+// while it waits — give StartSocket a done predicate that holds only once
+// the condition has held for the settle time, as cmd/sodasim does.
 func (nw *Network) WaitSocketIdle(settle, max time.Duration) bool {
 	return nw.socket("WaitSocketIdle").WaitIdle(settle, max)
 }
