@@ -35,22 +35,10 @@ func IsFramingError(err error) bool {
 	return ok
 }
 
-// AppendFrame appends raw's length-prefixed stream encoding to dst.
+// AppendFrame appends raw's length-prefixed stream encoding to dst. The
+// caller keeps raw within MaxFrameLen, which is all a reader accepts.
 func AppendFrame(dst, raw []byte) []byte {
-	var pfx [4]byte
-	binary.BigEndian.PutUint32(pfx[:], uint32(len(raw)))
-	return append(append(dst, pfx[:]...), raw...)
-}
-
-// WriteFrame writes one length-prefixed frame to w in a single Write call
-// (one writer per connection keeps frames contiguous on the wire).
-func WriteFrame(w io.Writer, raw []byte) error {
-	if len(raw) > MaxFrameLen {
-		return &framingError{msg: fmt.Sprintf("refusing to send a %d-byte frame (cap %d)", len(raw), MaxFrameLen)}
-	}
-	buf := AppendFrame(make([]byte, 0, 4+len(raw)), raw)
-	_, err := w.Write(buf)
-	return err
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(raw))), raw...)
 }
 
 // ReadFrame reads one length-prefixed frame from r, rejecting declared
@@ -61,11 +49,10 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	if max <= 0 {
 		max = MaxFrameLen
 	}
-	var pfx [4]byte
-	if _, err := io.ReadFull(r, pfx[:]); err != nil {
+	n, err := readPrefix(r)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(pfx[:])
 	if n < minFrameLen {
 		return nil, &framingError{fmt.Sprintf("declared length %d below transport header size %d", n, minFrameLen)}
 	}
@@ -80,4 +67,31 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 		return nil, err
 	}
 	return raw, nil
+}
+
+// readPrefix reads a frame's 4-byte length prefix with io.ReadFull's EOF
+// rules. A reader that reads by the byte, as the connection's bufio.Reader
+// does, fills it without allocating; through a plain io.Reader the prefix
+// array escapes to the heap, one small allocation per frame.
+func readPrefix(r io.Reader) (uint32, error) {
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		var pfx [4]byte
+		if _, err := io.ReadFull(r, pfx[:]); err != nil {
+			return 0, err
+		}
+		return binary.BigEndian.Uint32(pfx[:]), nil
+	}
+	var n uint32
+	for i := 0; i < 4; i++ {
+		b, err := br.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		n = n<<8 | uint32(b)
+	}
+	return n, nil
 }

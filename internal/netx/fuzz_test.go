@@ -1,6 +1,7 @@
 package netx
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"flag"
@@ -74,6 +75,23 @@ func FuzzStreamFramer(f *testing.F) {
 		}
 		if !bytes.Equal(reencoded, data[:len(reencoded)]) {
 			t.Fatalf("re-encoded frames diverge from the consumed stream prefix")
+		}
+		// A byte reader (the connection's bufio.Reader) takes the prefix
+		// by the byte; it must frame the stream the same way.
+		br := bufio.NewReader(bytes.NewReader(data))
+		var byBytes []byte
+		for {
+			raw, err := ReadFrame(br, MaxFrameLen)
+			if err != nil {
+				if err != terminal && err.Error() != terminal.Error() {
+					t.Fatalf("through a byte reader the stream ends in %v, through a plain reader in %v", err, terminal)
+				}
+				break
+			}
+			byBytes = AppendFrame(byBytes, raw)
+		}
+		if !bytes.Equal(byBytes, reencoded) {
+			t.Fatalf("a byte reader frames the stream differently from a plain reader")
 		}
 		if cr.n > len(data) {
 			t.Fatalf("consumed %d bytes of a %d-byte stream", cr.n, len(data))

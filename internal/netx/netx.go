@@ -26,9 +26,12 @@ package netx
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,10 +95,15 @@ type Network struct {
 	cfg Config
 	ln  net.Listener
 
-	mu     sync.Mutex
-	links  map[frame.MID]*link
-	peers  map[frame.MID]*peer // routing: remote MID -> its address's peer
-	byAddr map[string]*peer    // one dial loop per distinct address
+	mu sync.Mutex
+	// links are the attached machines in MID order and peers the remote
+	// addresses (one dial loop each) in address order, so a broadcast
+	// walks both as they are, sorting nothing per frame. Attach and
+	// SetPeer replace a slice rather than edit it in place, so a fan-out
+	// may walk the slice it read under mu after releasing mu.
+	links  []*link
+	peers  []*peer
+	routes map[frame.MID]*peer // routing: remote MID -> its address's peer
 	conns  map[net.Conn]bool   // every live conn, force-closed on Close
 	closed bool
 
@@ -135,9 +143,7 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 		k:          k,
 		cfg:        cfg,
 		ln:         ln,
-		links:      make(map[frame.MID]*link),
-		peers:      make(map[frame.MID]*peer),
-		byAddr:     make(map[string]*peer),
+		routes:     make(map[frame.MID]*peer),
 		conns:      make(map[net.Conn]bool),
 		inbox:      make(chan []byte, 1024),
 		posted:     make(chan func(), 64),
@@ -169,12 +175,27 @@ func (n *Network) Attach(mid frame.MID, recv func(raw []byte)) (wire.Iface, erro
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, dup := n.links[mid]; dup {
+	i, dup := slices.BinarySearchFunc(n.links, mid, byMID)
+	if dup {
 		return nil, fmt.Errorf("netx: MID %d already attached", mid)
 	}
 	l := &link{n: n, mid: mid, recv: recv, up: true}
-	n.links[mid] = l
+	// Clip makes Insert copy, leaving the old slice to any fan-out
+	// still walking it.
+	n.links = slices.Insert(slices.Clip(n.links), i, l)
 	return l, nil
+}
+
+func byMID(l *link, mid frame.MID) int { return cmp.Compare(l.mid, mid) }
+
+func byAddr(p *peer, addr string) int { return strings.Compare(p.addr, addr) }
+
+// findLink returns the link attached as mid in links (MID order), or nil.
+func findLink(links []*link, mid frame.MID) *link {
+	if i, ok := slices.BinarySearchFunc(links, mid, byMID); ok {
+		return links[i]
+	}
+	return nil
 }
 
 // SetPeer routes the remote machine mid through addr, starting a dial loop
@@ -185,14 +206,14 @@ func (n *Network) SetPeer(mid frame.MID, addr string) {
 	if n.closed {
 		return
 	}
-	p := n.byAddr[addr]
-	if p == nil {
-		p = &peer{addr: addr, outq: make(chan []byte, n.cfg.SendQueue)}
-		n.byAddr[addr] = p
+	i, found := slices.BinarySearchFunc(n.peers, addr, byAddr)
+	if !found {
+		p := &peer{addr: addr, outq: make(chan []byte, n.cfg.SendQueue)}
+		n.peers = slices.Insert(slices.Clip(n.peers), i, p) // a copy, as in Attach
 		n.wg.Add(1)
 		go n.peerLoop(p)
 	}
-	n.peers[mid] = p
+	n.routes[mid] = n.peers[i]
 }
 
 // acceptLoop admits inbound connections until the listener closes; each
@@ -289,18 +310,29 @@ func (n *Network) peerLoop(p *peer) {
 	}
 }
 
+// maxWriteBuf bounds the write buffer a writeLoop keeps between frames:
+// one that grew past it for a rare large frame is dropped after the write.
+const maxWriteBuf = 64 << 10
+
 // writeLoop drains p.outq onto c until the connection or the network dies;
-// false means the network is stopping.
+// false means the network is stopping. Each frame goes out in one Write
+// (one writer per connection keeps frames contiguous on the wire), its
+// prefix and bytes appended into a buffer the loop reuses.
 func (n *Network) writeLoop(p *peer, c net.Conn) bool {
+	var buf []byte
 	for {
 		select {
 		case <-n.stop:
 			return false
 		case raw := <-p.outq:
-			if err := WriteFrame(c, raw); err != nil {
+			buf = AppendFrame(buf[:0], raw)
+			if _, err := c.Write(buf); err != nil {
 				n.untrack(c)
 				n.countLost(1)
 				return true // redial
+			}
+			if cap(buf) > maxWriteBuf {
+				buf = nil
 			}
 			n.touch()
 		}
@@ -324,29 +356,21 @@ func (n *Network) send(from *link, dst frame.MID, raw []byte) {
 	}
 	if dst == frame.BroadcastMID {
 		n.mu.Lock()
-		locals := make([]*link, 0, len(n.links))
-		for _, mid := range sortediter.Keys(n.links) {
-			if l := n.links[mid]; l != from {
-				locals = append(locals, l)
+		links, peers := n.links, n.peers
+		n.mu.Unlock()
+		for _, l := range links {
+			if l != from {
+				n.loopback(from.mid, l, raw)
 			}
 		}
-		addrs := sortediter.Keys(n.byAddr)
-		remotes := make([]*peer, 0, len(addrs))
-		for _, a := range addrs {
-			remotes = append(remotes, n.byAddr[a])
-		}
-		n.mu.Unlock()
-		for _, l := range locals {
-			n.loopback(from.mid, l, raw)
-		}
-		for _, p := range remotes {
+		for _, p := range peers {
 			n.enqueue(p, raw)
 		}
 		return
 	}
 	n.mu.Lock()
-	l := n.links[dst]
-	p := n.peers[dst]
+	l := findLink(n.links, dst)
+	p := n.routes[dst]
 	n.mu.Unlock()
 	switch {
 	case l != nil:
@@ -385,8 +409,14 @@ func (n *Network) handoff(src frame.MID, l *link, raw []byte) {
 }
 
 // enqueue hands a frame to the peer's writer, dropping when the queue is
-// full or the writer is between connections and the queue backs up.
+// full or the writer is between connections and the queue backs up. A
+// frame longer than the stream framing carries (MaxFrameLen) is dropped
+// here too, as a lossy wire would drop it: the connection stays up.
 func (n *Network) enqueue(p *peer, raw []byte) {
+	if len(raw) > MaxFrameLen {
+		n.countLost(1)
+		return
+	}
 	select {
 	case p.outq <- raw:
 	default:
@@ -463,9 +493,15 @@ const maxNap = 25 * time.Millisecond
 
 // drive is the driver loop: advance the kernel to the wall position, drain
 // received frames into it, then sleep until the earlier of the next event
-// and new input.
+// and new input. Every nap re-arms one timer. Under the module's go 1.22
+// timer semantics a timer that fired holds its tick in the channel until
+// received, so a nap cut short by input stops the timer and drains a tick
+// it finds (stopNap) before the next Reset.
 func (n *Network) drive(done func() bool) {
 	defer close(n.driverDone)
+	timer := time.NewTimer(maxNap)
+	stopNap(timer)
+	defer timer.Stop()
 	for {
 		select {
 		case <-n.stop:
@@ -490,19 +526,26 @@ func (n *Network) drive(done func() bool) {
 				nap = until
 			}
 		}
-		t := time.NewTimer(nap)
+		timer.Reset(nap)
 		select {
 		case <-n.stop:
-			t.Stop()
 			return
 		case raw := <-n.inbox:
-			t.Stop()
+			stopNap(timer)
 			n.deliver(raw)
 		case fn := <-n.posted:
-			t.Stop()
+			stopNap(timer)
 			fn()
-		case <-t.C:
+		case <-timer.C:
 		}
+	}
+}
+
+// stopNap stops an armed nap timer whose tick nobody has received, and
+// drains the tick if the timer fired first.
+func stopNap(t *time.Timer) {
+	if !t.Stop() {
+		<-t.C
 	}
 }
 
@@ -551,16 +594,13 @@ func (n *Network) deliver(raw []byte) {
 		return
 	}
 	n.mu.Lock()
-	targets := make([]*link, 0, 1)
-	if dst == frame.BroadcastMID {
-		for _, mid := range sortediter.Keys(n.links) {
-			targets = append(targets, n.links[mid])
-		}
-	} else if l := n.links[dst]; l != nil {
-		targets = append(targets, l)
-	}
+	links := n.links
 	n.mu.Unlock()
-	for _, l := range targets {
+	if dst == frame.BroadcastMID {
+		for _, l := range links {
+			n.handoff(src, l, raw)
+		}
+	} else if l := findLink(links, dst); l != nil {
 		n.handoff(src, l, raw)
 	}
 }

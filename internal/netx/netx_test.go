@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -25,17 +26,11 @@ func mkRaw(n int) []byte {
 }
 
 func TestFramerRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	first := mkRaw(minFrameLen)
 	second := mkRaw(200)
-	if err := WriteFrame(&buf, first); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	if err := WriteFrame(&buf, second); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
+	buf := bytes.NewBuffer(AppendFrame(AppendFrame(nil, first), second))
 	for i, want := range [][]byte{first, second} {
-		got, err := ReadFrame(&buf, MaxFrameLen)
+		got, err := ReadFrame(buf, MaxFrameLen)
 		if err != nil {
 			t.Fatalf("ReadFrame #%d: %v", i, err)
 		}
@@ -43,19 +38,8 @@ func TestFramerRoundTrip(t *testing.T) {
 			t.Fatalf("ReadFrame #%d = %x, want %x", i, got, want)
 		}
 	}
-	if _, err := ReadFrame(&buf, MaxFrameLen); err != io.EOF {
+	if _, err := ReadFrame(buf, MaxFrameLen); err != io.EOF {
 		t.Fatalf("ReadFrame on empty stream = %v, want io.EOF", err)
-	}
-}
-
-func TestFramerAppendMatchesWrite(t *testing.T) {
-	raw := mkRaw(64)
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, raw); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	if got := AppendFrame(nil, raw); !bytes.Equal(got, buf.Bytes()) {
-		t.Fatalf("AppendFrame = %x, WriteFrame = %x", got, buf.Bytes())
 	}
 }
 
@@ -86,10 +70,72 @@ func TestFramerRejects(t *testing.T) {
 	}
 }
 
-func TestFramerWriteRejectsOversize(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, mkRaw(MaxFrameLen+1)); !IsFramingError(err) {
-		t.Fatalf("WriteFrame(oversize) = %v, want framing error", err)
+// TestOverCapFrameKeepsConnection sends a frame longer than the stream
+// framing carries, then a small one, to a peer that is a bare listener: the
+// long frame is lost like a frame on a lossy wire, and the small one
+// arrives on the same connection, with no redial.
+func TestOverCapFrameKeepsConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+
+	k := sim.New(1)
+	n, err := New(k, Config{Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	iface, err := n.Attach(1, func([]byte) {})
+	if err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	n.SetPeer(2, ln.Addr().String())
+	small := mkRaw(64)
+	k.At(0, func() {
+		iface.Send(2, mkRaw(MaxFrameLen+1))
+		iface.Send(2, small)
+	})
+	n.Start(nil)
+	defer func() {
+		if err := n.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+
+	var c net.Conn
+	select {
+	case c = <-accepted:
+	case <-time.After(waitMax):
+		t.Fatal("the network never dialed its peer")
+	}
+	defer c.Close()
+	c.SetReadDeadline(time.Now().Add(waitMax))
+	got, err := ReadFrame(c, MaxFrameLen)
+	if err != nil {
+		t.Fatalf("ReadFrame: %v", err)
+	}
+	if !bytes.Equal(got, small) {
+		t.Fatalf("first frame on the stream is %d bytes, want the %d-byte frame", len(got), len(small))
+	}
+	select {
+	case c2 := <-accepted:
+		c2.Close()
+		t.Fatal("the over-cap frame made the network redial")
+	default:
+	}
+	if lost := n.Stats().FramesLost; lost != 1 {
+		t.Fatalf("FramesLost = %d, want 1", lost)
 	}
 }
 

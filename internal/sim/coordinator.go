@@ -450,8 +450,8 @@ func (c *Coordinator) Run() error { return c.RunUntil(-1) }
 // single-threaded steps at global-event timestamps. Semantics mirror
 // Kernel.RunUntil: events at exactly the deadline run, bounded idle is
 // normal completion, and unbounded idle with live processes is ErrStalled.
-// Like Kernel.RunUntil it releases every kernel's idle process goroutines on
-// return.
+// Like Kernel.RunUntil it releases on return the idle process goroutines of
+// every kernel with no live process.
 func (c *Coordinator) RunUntil(deadline Time) error {
 	err := c.runUntil(deadline)
 	for _, k := range c.all {

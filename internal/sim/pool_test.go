@@ -94,6 +94,41 @@ func TestFinishedProcessesReuseGoroutines(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestSteppedRunKeepsWorkers drives a kernel the way the socket driver
+// does, in many short RunUntil steps, with one process live throughout:
+// short processes spawned one after another in different steps share one
+// pooled worker instead of each starting a goroutine, and Close releases
+// the pool with the live process.
+func TestSteppedRunKeepsWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New(1)
+	k.Spawn("live", (*Proc).Suspend)
+	const spawns = 100
+	workers := map[chan struct{}]bool{}
+	for i := 0; i < spawns; i++ {
+		k.At(Time(i)*time.Millisecond, func() {
+			p := k.Spawn("short", func(p *Proc) { p.Hold(100 * time.Microsecond) })
+			workers[p.resume] = true
+		})
+	}
+	for step := Time(0); step <= spawns*time.Millisecond; step += 250 * time.Microsecond {
+		if err := k.RunUntil(step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(workers) != 1 {
+		t.Fatalf("%d workers served %d sequential processes across RunUntil steps, want 1", len(workers), spawns)
+	}
+	if len(k.live) != 1 || len(k.idle) != 1 {
+		t.Fatalf("between steps: %d live and %d idle workers, want 1 and 1", len(k.live), len(k.idle))
+	}
+	k.Close()
+	if len(k.live) != 0 || len(k.idle) != 0 {
+		t.Fatalf("after Close: %d live and %d idle workers, want none", len(k.live), len(k.idle))
+	}
+	waitGoroutines(t, base)
+}
+
 // TestCloseUnwindsLiveProcesses leaves one process suspended, one holding
 // and one spawned but never started, plus one whose deferred call blocks
 // again, then closes the kernel: every deferred call runs, every process

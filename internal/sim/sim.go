@@ -21,11 +21,14 @@
 //
 // Process goroutines are pooled: a finished process parks its goroutine,
 // resume channel and grown stack for the next Spawn to reuse, so a handler
-// invocation costs a Proc record rather than a goroutine. Every return from
-// RunUntil (and Run) releases the parked goroutines, so a kernel dropped
-// between runs keeps no idle goroutine alive; processes still suspended or
-// holding when the caller is done are ended by Close, which unwinds each
-// through its deferred calls.
+// invocation costs a Proc record rather than a goroutine. A return from
+// RunUntil (and Run) that leaves no process live releases the parked
+// goroutines, so a kernel whose work is done keeps no idle goroutine alive.
+// While a process is live the pool is kept across returns — a caller
+// stepping the kernel in short slices, as the socket driver does, reuses
+// its workers from one step to the next — because such a kernel already
+// needs Close, which unwinds each live process through its deferred calls
+// and then releases the pool.
 package sim
 
 import (
@@ -116,7 +119,7 @@ type Kernel struct {
 	free []*event
 	// live lists the workers running a spawned, unfinished process (each
 	// knows its index); idle parks the workers of finished processes for
-	// Spawn to reuse until the next return from RunUntil releases them.
+	// Spawn to reuse until releaseIdle ends them.
 	live []*worker
 	idle []*worker
 	// par is non-nil when this kernel is one shard of a parallel
@@ -276,7 +279,8 @@ func (k *Kernel) Run() error { return k.RunUntil(-1) }
 
 // RunUntil is Run bounded by an absolute virtual deadline; a negative
 // deadline means "no deadline". Events at exactly the deadline still run.
-// On return the idle process goroutines are released (see releaseIdle).
+// On return the idle process goroutines are released if no process is
+// live, and kept for the next run if one is (see releaseIdle).
 func (k *Kernel) RunUntil(deadline Time) error {
 	if k.par != nil {
 		panic("sim: RunUntil on a coordinator-managed kernel; drive the Coordinator instead")
@@ -387,10 +391,17 @@ func (k *Kernel) settle() error {
 	return nil
 }
 
-// releaseIdle ends the parked goroutines of finished processes. Pooling pays
-// off within a run; between runs a kernel the caller drops without Close
-// must not keep goroutines alive.
+// releaseIdle ends the parked goroutines of finished processes once no
+// process is live. A kernel with no live process may be dropped without
+// Close, so it must not keep goroutines alive. A kernel with one is not
+// done: its caller owes it a Close (which unwinds the live processes and
+// then releases the pool), and until then the pool serves the next run's
+// spawns, so a kernel driven in many short RunUntil steps starts no
+// goroutine per handler.
 func (k *Kernel) releaseIdle() {
+	if len(k.live) > 0 {
+		return
+	}
 	for i, w := range k.idle {
 		close(w.resume)
 		k.idle[i] = nil
