@@ -1,11 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"soda/internal/golden"
 )
 
 // TestTablesGolden pins the paper's evaluation tables (EXPERIMENTS.md
@@ -15,31 +16,11 @@ import (
 // transport or the kernel that moves any cell fails here. When a change is
 // meant to move the tables, regenerate the file with
 //
-//	go run ./cmd/sodabench -table all > cmd/sodabench/testdata/tables.golden
+//	go test ./cmd/sodabench -run '^TestTablesGolden$' -update
 //
 // and say in the change which cells moved and why.
 func TestTablesGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "tables.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runMain(t, "-table", "all")
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w []byte
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if !bytes.Equal(g, w) {
-			t.Fatalf("tables differ from testdata/tables.golden at line %d:\n got: %s\nwant: %s", i+1, g, w)
-		}
-	}
+	golden.Check(t, "tables", string(runMain(t, "-table", "all")))
 }
 
 // runMain runs main with args on a fresh flag set and returns what it

@@ -1,18 +1,14 @@
 package conformance
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"soda"
+	"soda/internal/golden"
 	"soda/scenario"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden conformance fixtures")
 
 // scenarios lists the catalogue's count-based entries: the ones both
 // backends run to the same completion point, whatever their clock speed.
@@ -48,28 +44,12 @@ func runSim(sc scenario.Scenario, seed int64) (*Transcript, error) {
 // socket. Regenerate deliberately with: go test ./conformance/ -update
 func TestGoldenSim(t *testing.T) {
 	for _, sc := range scenarios() {
-		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			tr, err := runSim(sc, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := tr.Render()
-			path := filepath.Join("testdata", sc.Name+".golden")
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden fixture (regenerate with -update): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("sim transcript diverged from %s (regenerate with -update if intended):\n%s",
-					path, firstDiff(string(want), got))
-			}
+			golden.Check(t, sc.Name, tr.Render())
 		})
 	}
 }
@@ -79,7 +59,6 @@ func TestGoldenSim(t *testing.T) {
 // meaningful if the left-hand side never wobbles.
 func TestSimDeterminism(t *testing.T) {
 	for _, sc := range scenarios() {
-		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			a, err := runSim(sc, 1)
 			if err != nil {
@@ -89,8 +68,8 @@ func TestSimDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.Render() != b.Render() {
-				t.Errorf("two identical sim runs diverged:\n%s", firstDiff(a.Render(), b.Render()))
+			if d := golden.Diff(a.Render(), b.Render()); d != "" {
+				t.Errorf("two identical sim runs diverged at %s", d)
 			}
 		})
 	}
@@ -99,7 +78,6 @@ func TestSimDeterminism(t *testing.T) {
 // TestCompareSelf pins that a transcript is admissible against itself.
 func TestCompareSelf(t *testing.T) {
 	for _, sc := range scenarios() {
-		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			tr, err := runSim(sc, 1)
 			if err != nil {
@@ -111,24 +89,6 @@ func TestCompareSelf(t *testing.T) {
 			}
 		})
 	}
-}
-
-// firstDiff renders the first differing line of two multi-line strings
-// with a little context.
-func firstDiff(want, got string) string {
-	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
-	for i := 0; i < len(wl) || i < len(gl); i++ {
-		get := func(l []string) string {
-			if i < len(l) {
-				return l[i]
-			}
-			return "(end)"
-		}
-		if get(wl) != get(gl) {
-			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, get(wl), get(gl))
-		}
-	}
-	return "(no line diff?)"
 }
 
 // TestCompareReportsDivergences pins the minimized divergence reports:

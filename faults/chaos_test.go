@@ -7,9 +7,9 @@ package faults_test
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +18,7 @@ import (
 	"soda/apps/fileserver"
 	"soda/apps/philo"
 	"soda/faults"
+	"soda/internal/golden"
 	"soda/timesrv"
 )
 
@@ -47,9 +48,7 @@ func runPhiloChaos(t *testing.T, seed int64, trace io.Writer) (*soda.Network, []
 	ring := []soda.MID{2, 3, 4, 5, 6}
 	plan := acceptancePlan([][]faults.MID{{1, 2, 3}, {4, 5, 6, 7}}, 3, 7, "detector")
 	nw := soda.NewNetwork(soda.WithSeed(seed), soda.WithFaultPlan(plan), soda.WithInvariantChecks())
-	if trace != nil {
-		nw.Trace(trace)
-	}
+	nw.Trace(trace)
 	nw.Register("timesrv", timesrv.Program(16))
 	nw.MustAddNode(1)
 	nw.MustBoot(1, "timesrv")
@@ -158,19 +157,16 @@ func TestChaosAcceptanceFileServer(t *testing.T) {
 // the same seed and the same plan must reproduce the same bus traffic,
 // frame for frame.
 func TestChaosTraceIsDeterministic(t *testing.T) {
-	run := func() (uint64, uint64) {
-		h := fnv.New64a()
-		nw, _ := runPhiloChaos(t, 42, h)
-		return h.Sum64(), nw.Stats().FramesSent
+	run := func() string {
+		var trace strings.Builder
+		nw, _ := runPhiloChaos(t, 42, &trace)
+		if lines := strings.Count(trace.String(), "\n"); lines == 0 || uint64(lines) != nw.Stats().FramesSent {
+			t.Fatalf("%d trace lines for %d frames sent", lines, nw.Stats().FramesSent)
+		}
+		return trace.String()
 	}
-	hash1, sent1 := run()
-	hash2, sent2 := run()
-	if sent1 == 0 {
-		t.Fatal("no frames sent")
-	}
-	if hash1 != hash2 || sent1 != sent2 {
-		t.Fatalf("same seed + same plan diverged: hash %x/%x, frames %d/%d",
-			hash1, hash2, sent1, sent2)
+	if d := golden.Diff(run(), run()); d != "" {
+		t.Fatalf("same seed + same plan diverged at %s", d)
 	}
 }
 

@@ -6,13 +6,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"strings"
 	"testing"
 	"time"
 
 	"soda"
 	"soda/apps/philo"
 	"soda/faults"
+	"soda/internal/golden"
 	"soda/obs"
 	"soda/timesrv"
 )
@@ -87,11 +88,11 @@ func TestTraceExportIsByteDeterministic(t *testing.T) {
 // must leave the bus traffic bit-identical to a bare run (zero-overhead
 // contract — observation never changes behavior).
 func TestTracerDoesNotPerturbTheRun(t *testing.T) {
-	run := func(opts ...soda.Option) (uint64, uint64) {
-		h := fnv.New64a()
+	run := func(opts ...soda.Option) (string, uint64) {
+		var trace strings.Builder
 		ring := []soda.MID{2, 3, 4, 5, 6}
 		nw := soda.NewNetwork(append([]soda.Option{soda.WithSeed(9), soda.WithLoss(0.05)}, opts...)...)
-		nw.Trace(h)
+		nw.Trace(&trace)
 		nw.Register("timesrv", timesrv.Program(16))
 		nw.MustAddNode(1)
 		nw.MustBoot(1, "timesrv")
@@ -105,18 +106,17 @@ func TestTracerDoesNotPerturbTheRun(t *testing.T) {
 		if err := nw.Run(5 * time.Second); err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		return h.Sum64(), nw.Stats().FramesSent
+		return trace.String(), nw.Stats().FramesSent
 	}
-	bareHash, bareFrames := run()
-	obsHash, obsFrames := run(
+	bareTrace, bareFrames := run()
+	obsTrace, obsFrames := run(
 		soda.WithTracer(obs.NewTracerWith(obs.TraceConfig{Wire: true})),
 		soda.WithMetrics(obs.NewRegistry()))
 	if bareFrames == 0 {
 		t.Fatal("no frames sent")
 	}
-	if bareHash != obsHash || bareFrames != obsFrames {
-		t.Fatalf("observability perturbed the run: hash %x/%x frames %d/%d",
-			bareHash, obsHash, bareFrames, obsFrames)
+	if d := golden.Diff(bareTrace, obsTrace); d != "" || bareFrames != obsFrames {
+		t.Fatalf("observability perturbed the run (frames %d/%d) at %s", bareFrames, obsFrames, d)
 	}
 }
 

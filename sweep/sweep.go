@@ -273,15 +273,16 @@ func Run(spec Spec, workers int) (*Report, error) {
 	}
 	results := make([]RunResult, len(keys))
 	sim.ParallelFor(workers, len(keys), func(i int) {
-		results[i] = runOne(spec, keys[i])
+		results[i] = runOne(spec, keys[i], nil)
 	})
 	rep := &Report{Spec: spec, Runs: results}
 	rep.Aggregate = aggregate(results)
 	return rep, nil
 }
 
-// runOne executes a single, fully isolated simulation.
-func runOne(spec Spec, key RunKey) RunResult {
+// runOne executes a single, fully isolated simulation. A non-nil trace
+// also receives the run's frame log, the lines TraceHash hashes.
+func runOne(spec Spec, key RunKey, trace io.Writer) RunResult {
 	sc, _ := scenario.Lookup(key.Scenario)
 	run := sc.Build(key.Nodes, spec.Horizon, nil)
 	opts := append(make([]soda.Option, 0, 8), soda.WithSeed(key.Seed))
@@ -319,6 +320,7 @@ func runOne(spec Spec, key RunKey) RunResult {
 	nw := soda.NewNetwork(opts...)
 	h := fnv.New64a()
 	nw.Trace(h)
+	nw.Trace(trace)
 	run.Install(nw)
 
 	res := RunResult{Key: key}
