@@ -667,11 +667,11 @@ func (nw *Network) RunToCompletion() error {
 // Close ends the network once its last run has returned: every process
 // still suspended or holding — on the kernel, or on every shard of a
 // parallel network — is unwound through its deferred calls and its
-// goroutine exits. On a socket network it first does what CloseSocket does
-// and returns that error, leaving the kernel alone when the socket side
-// failed to stop. Results read before Close (Stats, Invariants, Profile,
-// trace hashes) are unaffected, and a closed network must not be run
-// again. Close is idempotent.
+// goroutine exits. On a socket network it is CloseSocket: it first stops
+// the socket side and returns that error, leaving the kernel alone when
+// the socket side failed to stop. Results read before Close (Stats,
+// Invariants, Profile, trace hashes) are unaffected, and a closed network
+// must not be run again. Close is idempotent.
 func (nw *Network) Close() error {
 	if nw.nx != nil {
 		if err := nw.nx.Close(); err != nil {
@@ -905,7 +905,13 @@ func (nw *Network) PostSocket(fn func()) bool { return nw.socket("PostSocket").P
 // WaitSocket/CloseSocket.
 func (nw *Network) SocketErr() error { return nw.socket("SocketErr").Err() }
 
-// CloseSocket stops the driver, closes the listener and every connection,
-// and waits for all socket goroutines to drain. A non-nil error means a
-// goroutine leaked past the drain timeout — tests treat that as a failure.
-func (nw *Network) CloseSocket() error { return nw.socket("CloseSocket").Close() }
+// CloseSocket ends a socket network as Close does: it stops the driver,
+// closes the listener and every connection, waits for all socket
+// goroutines to drain, and then unwinds every process still parked on the
+// kernel, which a socket network cannot run again anyway. A non-nil error
+// means a goroutine leaked past the drain timeout — tests treat that as a
+// failure — and leaves the kernel's processes in place.
+func (nw *Network) CloseSocket() error {
+	nw.socket("CloseSocket")
+	return nw.Close()
+}

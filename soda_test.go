@@ -240,3 +240,31 @@ func TestEventLimitGuardsLivelock(t *testing.T) {
 		t.Fatal("event limit did not trip")
 	}
 }
+
+// TestCloseSocketEndsTheKernel: CloseSocket unwinds the processes still
+// parked on a socket network's kernel, as Close does, so a task blocked
+// forever neither keeps its goroutine nor holds its network.
+func TestCloseSocketEndsTheKernel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens a real socket")
+	}
+	nw := soda.NewNetwork(soda.WithSocketTransport("127.0.0.1:0"))
+	started, unwound := false, false
+	nw.Register("parked", soda.Program{Task: func(c *soda.Client) {
+		defer func() { unwound = true }()
+		started = true
+		c.WaitUntil(func() bool { return false })
+	}})
+	nw.MustAddNode(1)
+	nw.MustBoot(1, "parked")
+	nw.StartSocket(func() bool { return started })
+	if !nw.WaitSocket(5 * time.Second) {
+		t.Fatal("the task did not start within 5s")
+	}
+	if err := nw.CloseSocket(); err != nil {
+		t.Fatal(err)
+	}
+	if !unwound {
+		t.Fatal("CloseSocket left the parked task running")
+	}
+}
