@@ -1,6 +1,7 @@
 package connector
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -72,9 +73,26 @@ func TestWiringRoundTripProperty(t *testing.T) {
 // TestLoadWiresTwoModules is the §4.3.1 scenario: a connector loads a
 // producer and a consumer on free machines; the consumer advertises the
 // link pattern from its wiring block, the producer sends on it — no
-// broadcasts, no well-known names between them.
+// broadcasts, no well-known names between them. Nothing orders the
+// consumer's Init before the producer's first send, so the producer
+// retries while the link is unadvertised; the test runs with the kernel's
+// transport costs scaled by 1 and by 4 to hold it to that at either speed.
 func TestLoadWiresTwoModules(t *testing.T) {
-	nw := soda.NewNetwork()
+	for _, scale := range []time.Duration{1, 4} {
+		t.Run(fmt.Sprintf("x%d", scale), func(t *testing.T) {
+			cfg := soda.DefaultNodeConfig()
+			costs := &cfg.Transport.Costs
+			costs.ProtocolPerFrame *= scale
+			costs.ConnTimerPerFrame *= scale
+			costs.RetransTimer *= scale
+			costs.CopyPerByte *= scale
+			loadWiresTwoModules(t, soda.WithNodeConfig(cfg))
+		})
+	}
+}
+
+func loadWiresTwoModules(t *testing.T, opts ...soda.Option) {
+	nw := soda.NewNetwork(opts...)
 	var delivered []byte
 	nw.Register("consumer", soda.Program{
 		Init: func(c *soda.Client, _ soda.MID) {
@@ -103,11 +121,16 @@ func TestLoadWiresTwoModules(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			// Module 1 (the consumer) serves the link; give its Init a
-			// beat to advertise.
-			c.Hold(30 * time.Millisecond)
+			// Module 1 (the consumer) serves the link once its Init has
+			// advertised it; until then the put is UNADVERTISED, and the
+			// producer tries again a beat later (§4).
 			dst := soda.ServerSig{MID: w.Members[1], Pattern: w.LinkPatterns[0]}
-			if res := c.BPut(dst, soda.OK, []byte("wired!")); res.Status != soda.StatusSuccess {
+			res := c.BPut(dst, soda.OK, []byte("wired!"))
+			for res.Status == soda.StatusUnadvertised {
+				c.Hold(10 * time.Millisecond)
+				res = c.BPut(dst, soda.OK, []byte("wired!"))
+			}
+			if res.Status != soda.StatusSuccess {
 				t.Errorf("producer put: %v", res.Status)
 			}
 		},

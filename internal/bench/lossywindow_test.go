@@ -13,6 +13,8 @@ package bench
 
 import (
 	"fmt"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"soda/internal/bus"
@@ -22,7 +24,8 @@ import (
 )
 
 // lossyRow is one (loss, window) cell: per-message virtual time, the
-// message-level retries the cell needed, and the bus counters of the run.
+// message-level retries the cell needed, and the bus counters of the run
+// with both endpoints' ledgers added.
 type lossyRow struct {
 	perOpUS int64
 	// resubmits counts sends the transport failed (peer presumed dead)
@@ -49,7 +52,8 @@ func lossyCell(seed int64, bytes, ops, window, lossPct int) lossyRow {
 	if err != nil {
 		panic(err)
 	}
-	if _, err := deltat.New(k, b.Wire(), 2, cfg, hooks); err != nil {
+	receiver, err := deltat.New(k, b.Wire(), 2, cfg, hooks)
+	if err != nil {
 		panic(err)
 	}
 
@@ -83,10 +87,18 @@ func lossyCell(seed int64, bytes, ops, window, lossPct int) lossyRow {
 	if acked != ops {
 		panic(fmt.Sprintf("lossywindow cell (loss=%d%% w=%d): acked %d/%d", lossPct, window, acked, ops))
 	}
+	st := b.Stats()
+	for _, ep := range []*deltat.Endpoint{sender, receiver} {
+		lv := reflect.ValueOf(ep.Ledger()).Elem()
+		for i := 0; i < lv.NumField(); i++ {
+			f := reflect.ValueOf(&st).Elem().FieldByName(lv.Type().Field(i).Name)
+			f.SetUint(f.Uint() + lv.Field(i).Addr().Interface().(*atomic.Uint64).Load())
+		}
+	}
 	return lossyRow{
 		perOpUS:   doneAt.Microseconds() / int64(ops),
 		resubmits: resubmits,
-		Stats:     b.Stats(),
+		Stats:     st,
 	}
 }
 

@@ -78,19 +78,3 @@ func TestBridgeDoesNotEchoSender(t *testing.T) {
 		t.Fatalf("peer bridge heard %d frames, want 1", atG2)
 	}
 }
-
-// TestTransportCounterHooks covers the Iface counter pass-throughs the
-// transport reports into bus stats.
-func TestTransportCounterHooks(t *testing.T) {
-	k := sim.New(1)
-	b := New(k, DefaultConfig())
-	i, err := b.Attach(1, func([]byte) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	i.CountPatternTableFull()
-	i.CountPatternTableFull()
-	if got := b.Stats().PatternTableFull; got != 2 {
-		t.Fatalf("PatternTableFull = %d, want 2", got)
-	}
-}

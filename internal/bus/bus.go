@@ -51,17 +51,21 @@ func DefaultConfig() Config {
 // arrived at a downed interface and were discarded there. FramesCorrupted
 // and FramesDuplicated count fault-model damage and duplication.
 //
-// The transport-sourced counters (Retransmissions, PiggybackedAcks,
-// PeerDeadTimeouts) are reported by the Delta-t endpoints through their
-// Iface, so protocol recovery work shows up next to the wire counters it
-// causes.
+// The node-sourced counters, from Retransmissions through WindowDecreases,
+// are never written by the bus, so on a bare bus they read 0. Each is a
+// fact only a node knows: its Delta-t endpoint counts the transport ones
+// in its deltat.Ledger and its kernel counts PatternTableFull.
+// soda.Network.Stats sums the nodes' counts into these fields, so protocol
+// recovery work shows up next to the wire counters it causes, on every
+// backend.
 //
 // Measurement-window contract: every field of Stats — wire counters,
-// fault-model counters, and transport-sourced counters alike — accumulates
+// fault-model counters, and node-sourced counters alike — accumulates
 // from the last ResetStats (or from bus creation). ResetStats zeroes the
-// whole struct, so a window opened with ResetStats and read with Stats
-// attributes all counters to the same interval. Per-node CPU cost buckets
-// are NOT part of Stats; scope those separately with Node.ResetTotals.
+// whole struct (soda.Network.ResetStats zeroes the nodes' counts with it),
+// so a window opened with ResetStats and read with Stats attributes all
+// counters to the same interval. Per-node CPU cost buckets are NOT part of
+// Stats; scope those separately with Node.ResetTotals.
 type Stats struct {
 	FramesSent        uint64
 	FramesDelivered   uint64
@@ -76,7 +80,9 @@ type Stats struct {
 	// relayed onto another segment as a clean-looking forgery.
 	BridgeCorruptDrops uint64
 	// Retransmissions counts DATA frames re-sent by a transport
-	// retransmission timer (the first transmission is not counted).
+	// retransmission timer (the first transmission is not counted). It
+	// and every field down to WindowDecreases are node-sourced: the bus
+	// never writes them, so on a bare bus they read 0 (see above).
 	Retransmissions uint64
 	// PiggybackedAcks counts acknowledgements that rode outgoing DATA
 	// frames instead of standalone ACK frames (invisible in ByKind).
@@ -386,52 +392,6 @@ func (i *Iface) Detach() {
 	i.bus.bridges = removeIface(i.bus.bridges, i)
 	i.up = false
 }
-
-// MID reports the interface's machine id.
-func (i *Iface) MID() frame.MID { return i.mid }
-
-// CountRetransmission records one transport-level retransmission in the
-// bus counters. The transport endpoint calls it when a retransmission
-// timer re-sends a DATA frame, so recovery traffic is attributable from
-// Stats alone.
-func (i *Iface) CountRetransmission() { i.bus.stats.Retransmissions++ }
-
-// CountPiggybackedAck records an acknowledgement carried on a DATA frame
-// (no standalone ACK frame hits the wire, so ByKind cannot see it).
-func (i *Iface) CountPiggybackedAck() { i.bus.stats.PiggybackedAcks++ }
-
-// CountPeerDeadTimeout records a send abandoned because the destination
-// stayed silent past the transport's death-detection bound.
-func (i *Iface) CountPeerDeadTimeout() { i.bus.stats.PeerDeadTimeouts++ }
-
-// CountPatternTableFull records an advertise rejected by a saturated
-// 256-slot pattern table on the owning node.
-func (i *Iface) CountPatternTableFull() { i.bus.stats.PatternTableFull++ }
-
-// CountWindowFill records a send queued behind a full sliding window.
-func (i *Iface) CountWindowFill() { i.bus.stats.WindowFills++ }
-
-// CountCumulativeAck records one cumulative fragment acknowledgement
-// (standalone FRAGACK or piggybacked on a reverse FRAG frame).
-func (i *Iface) CountCumulativeAck() { i.bus.stats.CumulativeAcks++ }
-
-// CountFragmentRetransmit records a FRAG frame re-sent by windowed-mode
-// recovery (a hole re-send or a completion probe).
-func (i *Iface) CountFragmentRetransmit() { i.bus.stats.FragmentRetransmits++ }
-
-// CountSelectiveRetransmit records a hole-targeted FRAG re-send (counted
-// in addition to CountFragmentRetransmit).
-func (i *Iface) CountSelectiveRetransmit() { i.bus.stats.SelectiveRetransmits++ }
-
-// CountSackBlocks records the contiguous SACK blocks carried on one
-// outgoing FRAGACK frame.
-func (i *Iface) CountSackBlocks(n int) { i.bus.stats.SackBlocksSent += uint64(n) }
-
-// CountWindowIncrease records one AIMD additive window increase.
-func (i *Iface) CountWindowIncrease() { i.bus.stats.WindowIncreases++ }
-
-// CountWindowDecrease records one AIMD multiplicative window decrease.
-func (i *Iface) CountWindowDecrease() { i.bus.stats.WindowDecreases++ }
 
 // Down disconnects the interface (a crashed node hears nothing). Frames in
 // flight toward it are discarded at delivery time.

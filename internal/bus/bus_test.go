@@ -241,7 +241,7 @@ func (f judgeFunc) Judge(now sim.Time, src, dst frame.MID, raw []byte) FaultActi
 }
 
 // wireFrame builds a well-formed 16-byte-header transport frame so the
-// corruption model's length-field damage is observable via DecodeTransport.
+// corruption model's length-field damage is observable via DecodeTransportShared.
 func wireFrame(payload []byte) []byte {
 	return frame.EncodeTransport(&frame.TransportFrame{
 		Kind:    frame.TransportData,
@@ -309,7 +309,7 @@ func TestFaultModelCorruptIsAlwaysDetectable(t *testing.T) {
 		t.Fatalf("delivered %d corrupted frames, want %d", len(got), n)
 	}
 	for _, raw := range got {
-		if _, err := frame.DecodeTransport(raw); err == nil {
+		if _, err := frame.DecodeTransportShared(raw); err == nil {
 			t.Fatalf("corrupted frame decoded cleanly: % x", raw)
 		}
 	}
@@ -386,7 +386,7 @@ func TestDeliveryTapSeesDeliveries(t *testing.T) {
 	if evs[0].Src != 1 || evs[0].Dst != 2 {
 		t.Fatalf("delivery event link = %d->%d, want 1->2", evs[0].Src, evs[0].Dst)
 	}
-	if _, err := frame.DecodeTransport(evs[0].Raw); err != nil {
+	if _, err := frame.DecodeTransportShared(evs[0].Raw); err != nil {
 		t.Fatalf("undamaged delivery fails decode: %v", err)
 	}
 }

@@ -157,40 +157,3 @@ func TestStatsAdd(t *testing.T) {
 		t.Errorf("adding a zero Stats changed the sum: %+v, want %+v", sum, before)
 	}
 }
-
-// TestTransportSourcedCountersAccumulate: the Iface Count* reporters land in
-// Stats and reset with everything else.
-func TestTransportSourcedCountersAccumulate(t *testing.T) {
-	b := New(sim.New(1), DefaultConfig())
-	i, err := b.Attach(1, func([]byte) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	i.CountRetransmission()
-	i.CountRetransmission()
-	i.CountPiggybackedAck()
-	i.CountPeerDeadTimeout()
-	i.CountWindowFill()
-	i.CountWindowFill()
-	i.CountWindowFill()
-	i.CountCumulativeAck()
-	i.CountCumulativeAck()
-	i.CountCumulativeAck()
-	i.CountCumulativeAck()
-	i.CountFragmentRetransmit()
-	st := b.Stats()
-	if st.Retransmissions != 2 || st.PiggybackedAcks != 1 || st.PeerDeadTimeouts != 1 {
-		t.Fatalf("counters = %d/%d/%d, want 2/1/1",
-			st.Retransmissions, st.PiggybackedAcks, st.PeerDeadTimeouts)
-	}
-	if st.WindowFills != 3 || st.CumulativeAcks != 4 || st.FragmentRetransmits != 1 {
-		t.Fatalf("window counters = %d/%d/%d, want 3/4/1",
-			st.WindowFills, st.CumulativeAcks, st.FragmentRetransmits)
-	}
-	b.ResetStats()
-	st = b.Stats()
-	if st.Retransmissions != 0 || st.PiggybackedAcks != 0 || st.PeerDeadTimeouts != 0 ||
-		st.WindowFills != 0 || st.CumulativeAcks != 0 || st.FragmentRetransmits != 0 {
-		t.Fatalf("counters survived ResetStats: %+v", st)
-	}
-}

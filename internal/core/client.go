@@ -487,9 +487,10 @@ func (c *Client) GetUniqueID() frame.Pattern {
 
 // PatternTableFullError reports that a node's 256-slot pattern table (the
 // §5.4 implementation restriction) had no free slot left for another unique
-// advertisement. Node identifies the saturated machine; the rejection is
-// also counted in bus.Stats.PatternTableFull so saturation is observable
-// across a whole network.
+// advertisement. Node identifies the saturated machine; the machine's
+// kernel also counts the rejection (Node.PatternTableFull), and
+// soda.Network.Stats sums those counts into bus.Stats.PatternTableFull so
+// saturation is observable across a whole network.
 type PatternTableFullError struct {
 	Node frame.MID
 }
@@ -512,7 +513,7 @@ func (c *Client) AdvertiseUnique() (frame.Pattern, error) {
 			return p, c.node.Advertise(p)
 		}
 	}
-	c.node.ep.CountPatternTableFull()
+	c.node.tableFull.Add(1)
 	return 0, &PatternTableFullError{Node: c.node.mid}
 }
 

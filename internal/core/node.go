@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	//lint:allow nogoroutine (the pattern-table counter is read like the transport ledger: atomic adds neither block nor order kernel work)
+	"sync/atomic"
 
 	"soda/internal/deltat"
 	"soda/internal/frame"
@@ -112,6 +114,10 @@ type Node struct {
 	// rmrMemory is the kernel-level RMR region (§6.17.2); nil when the
 	// service is disabled.
 	rmrMemory []byte
+
+	// tableFull counts AdvertiseUnique calls the saturated pattern table
+	// rejected; atomic like the endpoint's ledger it is reported beside.
+	tableFull atomic.Uint64
 
 	client *Client
 	totals CostTotals
@@ -248,6 +254,12 @@ func (n *Node) Client() *Client { return n.client }
 func (n *Node) Totals() CostTotals                 { return n.totals }
 func (n *Node) TransportTotals() deltat.CostTotals { return n.ep.Totals() }
 func (n *Node) ResetTotals()                       { n.totals = CostTotals{}; n.ep.ResetTotals() }
+
+// TransportLedger returns the endpoint's live transport counters;
+// PatternTableFull the kernel's count of AdvertiseUnique calls its full
+// pattern table rejected. Both may be read and reset from any goroutine.
+func (n *Node) TransportLedger() *deltat.Ledger  { return n.ep.Ledger() }
+func (n *Node) PatternTableFull() *atomic.Uint64 { return &n.tableFull }
 
 // nextTID issues a transaction id, unique on this machine across all time;
 // monotonicity lets the kernel adjudicate stale ACCEPTs after a crash

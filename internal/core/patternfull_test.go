@@ -9,8 +9,8 @@ import (
 )
 
 // TestAdvertiseUniqueTableFull saturates a node's 256-slot pattern table
-// and checks the failure is a typed error naming the node, counted on the
-// bus so saturation is visible in Stats.
+// and checks the failure is a typed error naming the node, counted once by
+// the node's kernel (which soda.Network.Stats reports) and never by the bus.
 func TestAdvertiseUniqueTableFull(t *testing.T) {
 	n := newTestNet(t, 1, DefaultConfig(), 3)
 	var gotErr error
@@ -38,8 +38,11 @@ func TestAdvertiseUniqueTableFull(t *testing.T) {
 	if full.Node != 3 {
 		t.Fatalf("PatternTableFullError.Node = %d, want 3", full.Node)
 	}
-	if got := n.b.Stats().PatternTableFull; got != 1 {
-		t.Fatalf("bus Stats.PatternTableFull = %d, want 1", got)
+	if got := n.nodes[3].PatternTableFull().Load(); got != 1 {
+		t.Fatalf("node PatternTableFull = %d, want 1", got)
+	}
+	if got := n.b.Stats().PatternTableFull; got != 0 {
+		t.Fatalf("bus Stats.PatternTableFull = %d, want 0: the kernel counts it", got)
 	}
 }
 

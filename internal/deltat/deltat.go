@@ -30,6 +30,9 @@ package deltat
 
 import (
 	"fmt"
+	"reflect"
+	//lint:allow nogoroutine (the ledger is counters only: Network.Stats reads them from other goroutines, and an atomic add neither blocks nor orders kernel work)
+	"sync/atomic"
 	"time"
 
 	"soda/internal/frame"
@@ -126,6 +129,63 @@ type CostTotals struct {
 	Copy         time.Duration
 	FramesSent   uint64
 	FramesRecv   uint64
+}
+
+// Ledger is an endpoint's always-on transport counters: the facts only
+// the endpoint knows, counted where it reports them (emit), whether or not
+// an observer listens. Each field is named after the bus.Stats field that
+// soda.Network.Stats sums it into. The counters are atomic because Stats
+// and ResetStats may run on another goroutine than the endpoint's (a
+// socket network's driver, a parallel network's shards).
+type Ledger struct {
+	Retransmissions      atomic.Uint64
+	PiggybackedAcks      atomic.Uint64
+	PeerDeadTimeouts     atomic.Uint64
+	WindowFills          atomic.Uint64
+	CumulativeAcks       atomic.Uint64
+	FragmentRetransmits  atomic.Uint64
+	SelectiveRetransmits atomic.Uint64
+	SackBlocksSent       atomic.Uint64
+	WindowIncreases      atomic.Uint64
+	WindowDecreases      atomic.Uint64
+}
+
+// count is the one map from event kind to counter. n is the event's
+// Attempt: an EvSackTx carries its SACK block count there.
+func (l *Ledger) count(kind EventKind, n int) {
+	switch kind {
+	case EvRetransmit:
+		l.Retransmissions.Add(1)
+	case EvPiggybackAck:
+		l.PiggybackedAcks.Add(1)
+	case EvPeerDead:
+		l.PeerDeadTimeouts.Add(1)
+	case EvWindowFill:
+		l.WindowFills.Add(1)
+	case EvCumAck:
+		l.CumulativeAcks.Add(1)
+	case EvFragRetransmit:
+		l.FragmentRetransmits.Add(1)
+	case EvSelectiveRetransmit:
+		// A hole re-send is a fragment retransmission too.
+		l.FragmentRetransmits.Add(1)
+		l.SelectiveRetransmits.Add(1)
+	case EvSackTx:
+		l.SackBlocksSent.Add(uint64(n))
+	case EvWindowIncrease:
+		l.WindowIncreases.Add(1)
+	case EvWindowDecrease:
+		l.WindowDecreases.Add(1)
+	}
+}
+
+// Reset zeroes every counter. It walks the fields by reflection, so a
+// counter added later cannot dodge a measurement window.
+func (l *Ledger) Reset() {
+	v := reflect.ValueOf(l).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).Addr().Interface().(*atomic.Uint64).Store(0)
+	}
 }
 
 // EventKind discriminates transport observer events (see Event).
@@ -506,6 +566,7 @@ type Endpoint struct {
 	// wsend.readyAt. Unused when Window <= 1.
 	recvReadyAt sim.Time
 	totals      CostTotals
+	ledger      Ledger
 	crashed     bool
 	epoch       int // bumped on crash; stale scheduled work checks it
 	// timers and msgs recycle the records of scheduled actions and of
@@ -543,15 +604,17 @@ func New(k *sim.Kernel, w wire.Network, mid frame.MID, cfg Config, hooks Hooks) 
 // MID reports the endpoint's machine id.
 func (e *Endpoint) MID() frame.MID { return e.mid }
 
-// emit delivers one observer event, stamping time and place. Free (no
-// event is even built) when no observer is installed, preserving the
+// emit reports one transport event: it counts the event in the ledger,
+// then delivers it to the observer, stamping time and place. No event is
+// even built when no observer is installed, preserving the
 // zero-overhead-when-disabled contract.
 func (e *Endpoint) emit(kind EventKind, peer frame.MID, seq uint8, attempt int) {
-	if e.cfg.Observer == nil {
-		return
+	//lint:allow noalloc (external: count only adds to sync/atomic counters, which never allocate)
+	e.ledger.count(kind, attempt)
+	if e.cfg.Observer != nil {
+		//lint:allow noalloc (observer: nil-guarded event emission, absent on measured runs)
+		e.cfg.Observer(Event{At: e.k.Now(), Kind: kind, Node: e.mid, Peer: peer, Seq: seq, Attempt: attempt})
 	}
-	//lint:allow noalloc (observer: nil-guarded event emission, absent on measured runs)
-	e.cfg.Observer(Event{At: e.k.Now(), Kind: kind, Node: e.mid, Peer: peer, Seq: seq, Attempt: attempt})
 }
 
 // Config returns the protocol configuration.
@@ -562,10 +625,8 @@ func (e *Endpoint) Config() Config { return e.cfg }
 // buffer (stop-and-wait); see Hooks.OnData.
 func (e *Endpoint) DeliversOwned() bool { return e.windowed() }
 
-// CountPatternTableFull forwards a pattern-table saturation rejection to
-// the bus counters (bus.Stats.PatternTableFull). The kernel layer owns the
-// table but has no bus handle of its own; the endpoint lends its interface.
-func (e *Endpoint) CountPatternTableFull() { e.iface.CountPatternTableFull() }
+// Ledger returns the endpoint's live transport counters.
+func (e *Endpoint) Ledger() *Ledger { return &e.ledger }
 
 // Totals returns the accumulated cost buckets.
 func (e *Endpoint) Totals() CostTotals { return e.totals }
@@ -994,7 +1055,6 @@ func (e *Endpoint) peerDead(dst frame.MID, p *peer) {
 	failed = append(failed, p.queue...)
 	p.queue = nil
 	p.timerGen++
-	e.iface.CountPeerDeadTimeout()
 	e.emit(EvPeerDead, dst, p.ab.sendSeq, p.attempts)
 	if p.open {
 		e.emit(EvConnClose, dst, p.ab.sendSeq, 0)
@@ -1091,7 +1151,6 @@ func (e *Endpoint) transmitData(t *timer) {
 	}
 	p.attempts++
 	if f.AckPresent {
-		e.iface.CountPiggybackedAck()
 		e.emit(EvPiggybackAck, dst, f.AckSeq, p.attempts)
 	}
 	e.transmit(&f)
@@ -1122,7 +1181,6 @@ func (e *Endpoint) retransmit(t *timer) {
 		return
 	}
 	e.totals.RetransTimer += e.cfg.Costs.RetransTimer
-	e.iface.CountRetransmission()
 	e.emit(EvRetransmit, dst, e.conn(dst).ab.sendSeq, p.attempts+1)
 	e.transmitCur(dst, p)
 }
@@ -1453,7 +1511,6 @@ func (e *Endpoint) attachCumAck(f *frame.TransportFrame, p *peer) {
 	f.AckSeq = wr.cum
 	wr.ackGen++
 	wr.ackPending = false
-	e.iface.CountCumulativeAck()
 	e.emit(EvCumAck, f.Dst, wr.cum, 0)
 }
 

@@ -2,12 +2,15 @@ package deltat
 
 import (
 	"fmt"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"soda/internal/bus"
 	"soda/internal/frame"
 	"soda/internal/sim"
+	"soda/internal/sortediter"
 )
 
 // rig is a two-node (or more) test network.
@@ -15,6 +18,26 @@ type rig struct {
 	k   *sim.Kernel
 	b   *bus.Bus
 	eps map[frame.MID]*Endpoint
+}
+
+// stats is the bus's counters with every endpoint's ledger added, the way
+// soda.Network.Stats reports them.
+func (r *rig) stats() bus.Stats {
+	st := r.b.Stats()
+	for _, mid := range sortediter.Keys(r.eps) {
+		addLedger(&st, r.eps[mid])
+	}
+	return st
+}
+
+// addLedger adds e's ledger into the bus.Stats field of the same name.
+func addLedger(st *bus.Stats, e *Endpoint) {
+	sv := reflect.ValueOf(st).Elem()
+	lv := reflect.ValueOf(e.Ledger()).Elem()
+	for i := 0; i < lv.NumField(); i++ {
+		f := sv.FieldByName(lv.Type().Field(i).Name)
+		f.SetUint(f.Uint() + lv.Field(i).Addr().Interface().(*atomic.Uint64).Load())
+	}
 }
 
 func newRig(t *testing.T, seed int64, lossProb float64, mids []frame.MID, hooks map[frame.MID]Hooks) *rig {

@@ -103,7 +103,7 @@ func TestObserverAndStatsAgreeUnderLoss(t *testing.T) {
 	if delivered != 20 {
 		t.Fatalf("delivered %d/20", delivered)
 	}
-	st := r.b.Stats()
+	st := r.stats()
 	if st.Retransmissions == 0 {
 		t.Fatal("no retransmissions at 30% loss; the test exercised nothing")
 	}
@@ -137,7 +137,7 @@ func TestPeerDeadEventAndCounter(t *testing.T) {
 	if n := r.count(EvConnClose); n != 1 {
 		t.Errorf("EvConnClose = %d, want 1 (record discarded with the peer)", n)
 	}
-	if st := r.b.Stats(); st.PeerDeadTimeouts != 1 {
+	if st := r.stats(); st.PeerDeadTimeouts != 1 {
 		t.Errorf("Stats.PeerDeadTimeouts = %d, want 1", st.PeerDeadTimeouts)
 	}
 }
@@ -167,7 +167,7 @@ func TestPiggybackAckEventAndCounter(t *testing.T) {
 	if n := r.count(EvPiggybackAck); n < 1 {
 		t.Errorf("EvPiggybackAck = %d, want ≥1", n)
 	}
-	st := r.b.Stats()
+	st := r.stats()
 	if st.PiggybackedAcks != uint64(r.count(EvPiggybackAck)) {
 		t.Errorf("Stats.PiggybackedAcks = %d, observer saw %d", st.PiggybackedAcks, r.count(EvPiggybackAck))
 	}
@@ -194,14 +194,17 @@ func TestNoObserverBuildsNoEvents(t *testing.T) {
 			}
 			return ep
 		}
-		e1, _ := mk(1), mk(2)
+		e1, e2 := mk(1), mk(2)
 		for i := 0; i < 10; i++ {
 			e1.Send(2, []byte{byte(i)}, nil, nil)
 		}
 		if err := k.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return b.Stats(), events
+		st := b.Stats()
+		addLedger(&st, e1)
+		addLedger(&st, e2)
+		return st, events
 	}
 	withObs, n := run(true)
 	withoutObs, zero := run(false)

@@ -330,7 +330,6 @@ func (e *Endpoint) wPump(dst frame.MID, p *peer) {
 			if len(ws.inflight) >= ws.cwnd {
 				if !ws.stalled {
 					ws.stalled = true
-					e.iface.CountWindowFill()
 					e.emit(EvWindowFill, dst, ws.nextMsg, len(ws.inflight))
 				}
 				break
@@ -593,7 +592,6 @@ func (e *Endpoint) wProbeStarved(dst frame.MID, p *peer) {
 		if m.parked || m.next < m.frags || ws.framed(m) {
 			continue
 		}
-		e.iface.CountFragmentRetransmit()
 		e.emit(EvFragRetransmit, dst, m.lastSeq, p.attempts+1)
 		ws.probeWireAt = e.wTransmitFrag(dst, p, m, m.frags-1, m.lastSeq)
 		return
@@ -605,8 +603,6 @@ func (e *Endpoint) wProbeStarved(dst frame.MID, p *peer) {
 // as a selective retransmission (hole re-sends only).
 func (e *Endpoint) wResendFrag(dst frame.MID, p *peer, i int, round int) {
 	fr := p.ws.frames[i]
-	e.iface.CountFragmentRetransmit()
-	e.iface.CountSelectiveRetransmit()
 	e.emit(EvSelectiveRetransmit, dst, fr.seq, round)
 	p.ws.frames[i].wireAt = e.wTransmitFrag(dst, p, fr.msg, fr.idx, fr.seq)
 }
@@ -619,7 +615,6 @@ func (e *Endpoint) wShrinkWindow(dst frame.MID, ws *wsend) {
 		return
 	}
 	ws.cwnd /= 2
-	e.iface.CountWindowDecrease()
 	e.emit(EvWindowDecrease, dst, 0, ws.cwnd)
 }
 
@@ -807,7 +802,6 @@ func (e *Endpoint) wHandleMsgAck(src frame.MID, p *peer, f *frame.TransportFrame
 		if ws.cleanAcks >= ws.cwnd {
 			ws.cleanAcks = 0
 			ws.cwnd++
-			e.iface.CountWindowIncrease()
 			e.emit(EvWindowIncrease, src, 0, ws.cwnd)
 		}
 	}
@@ -1291,11 +1285,9 @@ func (e *Endpoint) wSendFragAck(src frame.MID, p *peer) {
 // extension bytes, which is all a loss-free wire ever carries).
 func (e *Endpoint) wTransmitFragAck(src frame.MID, wr *wrecv) {
 	bits := wr.sackBits()
-	e.iface.CountCumulativeAck()
 	e.emit(EvCumAck, src, wr.cum, 0)
 	if bits != 0 {
 		blocks := sackBlockCount(bits)
-		e.iface.CountSackBlocks(blocks)
 		e.emit(EvSackTx, src, wr.cum, blocks)
 	}
 	f := frame.TransportFrame{

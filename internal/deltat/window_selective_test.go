@@ -75,7 +75,7 @@ func TestWindowDupAckNoReadyCharge(t *testing.T) {
 		if res == nil || res.Kind != ResultAcked {
 			t.Fatalf("result = %+v, want acked", res)
 		}
-		if st := r.b.Stats(); st.FragmentRetransmits != 0 {
+		if st := r.stats(); st.FragmentRetransmits != 0 {
 			t.Fatalf("%d spurious retransmits after duplicate acks on a clean wire", st.FragmentRetransmits)
 		}
 	})
@@ -223,7 +223,7 @@ func TestSelectiveFastRetransmit(t *testing.T) {
 	if acked != 4 {
 		t.Fatalf("acked %d/4 messages", acked)
 	}
-	st := r.b.Stats()
+	st := r.stats()
 	if st.SelectiveRetransmits == 0 {
 		t.Fatal("SelectiveRetransmits = 0; the dropped fragment was never repaired selectively")
 	}

@@ -42,7 +42,7 @@ func TestWindowFragmentationRoundTrip(t *testing.T) {
 	if res == nil || res.Kind != ResultAcked || string(res.Reply) != "bulk-ok" {
 		t.Fatalf("result = %+v, want acked with reply", res)
 	}
-	st := r.b.Stats()
+	st := r.stats()
 	if want := uint64((len(payload) + DefaultFragSize - 1) / DefaultFragSize); st.ByKind[frame.TransportFrag] != want {
 		t.Fatalf("FRAG frames = %d, want %d (%v)", st.ByKind[frame.TransportFrag], want, st.ByKind)
 	}
@@ -342,7 +342,7 @@ func TestWindowDuplicateReplay(t *testing.T) {
 			if string(res.Reply) != "r" || calls != 1 {
 				t.Fatalf("seed %d: acked but reply=%q calls=%d", seed, res.Reply, calls)
 			}
-			if r.b.Stats().FragmentRetransmits > 0 {
+			if r.stats().FragmentRetransmits > 0 {
 				ackedWithRetransmits++
 			}
 		}
@@ -401,7 +401,7 @@ func TestWindowStatsCounters(t *testing.T) {
 	if err := r.k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	st := r.b.Stats()
+	st := r.stats()
 	if st.WindowFills == 0 {
 		t.Error("WindowFills = 0; eight queued bulk messages must fill a 2-deep window")
 	}

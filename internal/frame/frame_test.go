@@ -177,9 +177,9 @@ func TestTransportRoundTrip(t *testing.T) {
 			if len(b) != f.WireSize() {
 				t.Fatalf("encoded %d bytes, WireSize says %d", len(b), f.WireSize())
 			}
-			got, err := DecodeTransport(b)
+			got, err := DecodeTransportShared(b)
 			if err != nil {
-				t.Fatalf("DecodeTransport: %v", err)
+				t.Fatalf("DecodeTransportShared: %v", err)
 			}
 			if len(got.Payload) == 0 {
 				got.Payload = nil
@@ -196,15 +196,15 @@ func TestTransportRoundTrip(t *testing.T) {
 
 func TestTransportRejectsBadInput(t *testing.T) {
 	good := EncodeTransport(&TransportFrame{Kind: TransportData, Src: 1, Dst: 2, Payload: []byte{1}})
-	if _, err := DecodeTransport(good[:5]); err == nil {
+	if _, err := DecodeTransportShared(good[:5]); err == nil {
 		t.Fatal("short header accepted")
 	}
-	if _, err := DecodeTransport(good[:len(good)-1]); err == nil {
+	if _, err := DecodeTransportShared(good[:len(good)-1]); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
 	bad := append([]byte(nil), good...)
 	bad[0] = 0x99
-	if _, err := DecodeTransport(bad); err == nil {
+	if _, err := DecodeTransportShared(bad); err == nil {
 		t.Fatal("unknown transport kind accepted")
 	}
 }
@@ -233,7 +233,7 @@ func TestTransportRoundTripProperty(t *testing.T) {
 			Err:        ErrCode(errCode),
 			Payload:    payload,
 		}
-		out, err := DecodeTransport(EncodeTransport(in))
+		out, err := DecodeTransportShared(EncodeTransport(in))
 		if err != nil {
 			return false
 		}
@@ -255,7 +255,7 @@ func TestTransportRoundTripProperty(t *testing.T) {
 func TestDecodeNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {
 		_, _ = Decode(b)
-		_, _ = DecodeTransport(b)
+		_, _ = DecodeTransportShared(b)
 		return true
 	}
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(9))}

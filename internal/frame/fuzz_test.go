@@ -202,7 +202,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		f.Add(frame.Encode(m))
 	}
 	for _, raw := range capturedFrames(f) {
-		if tf, err := frame.DecodeTransport(raw); err == nil && len(tf.Payload) > 0 {
+		if tf, err := frame.DecodeTransportShared(raw); err == nil && len(tf.Payload) > 0 {
 			f.Add(tf.Payload)
 		}
 	}
@@ -233,10 +233,11 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzTransportRoundTrip: the transport codec must round-trip semantically,
-// report WireSize consistently, the shared (zero-copy) decoder must be
-// observationally identical to the copying one on every input, and
-// CheckTransport must return the decoders' error.
+// FuzzTransportRoundTrip: the transport codec must round-trip semantically
+// and report WireSize consistently; the shared decoder must alias the
+// payload rather than copy it; DecodeTransportInto must overwrite every
+// field of storage an earlier frame left behind (the receive path reuses
+// one record); and CheckTransport must return the decoders' error.
 func FuzzTransportRoundTrip(f *testing.F) {
 	for _, raw := range capturedFrames(f) {
 		f.Add(raw)
@@ -265,10 +266,16 @@ func FuzzTransportRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		tf, err := frame.DecodeTransport(b)
-		shared, errShared := frame.DecodeTransportShared(b)
-		if (err == nil) != (errShared == nil) {
-			t.Fatalf("decoder disagreement: copy err=%v, shared err=%v", err, errShared)
+		tf, err := frame.DecodeTransportShared(b)
+		stale := frame.TransportFrame{
+			Kind: frame.TransportFrag, Src: 9, Dst: 9, Seq: 9, ConnOpen: true,
+			AckPresent: true, AckSeq: 9, Err: 9, MsgSeq: 9, FragIndex: 9,
+			FragEnd: true, Urgent: true, SackBits: 9, Payload: []byte("stale"),
+		}
+		into := stale
+		errInto := frame.DecodeTransportInto(&into, b)
+		if (err == nil) != (errInto == nil) {
+			t.Fatalf("decoder disagreement: shared err=%v, into err=%v", err, errInto)
 		}
 		if errCheck := frame.CheckTransport(b); (err == nil) != (errCheck == nil) ||
 			err != nil && err.Error() != errCheck.Error() {
@@ -277,18 +284,17 @@ func FuzzTransportRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Differential: aliasing the payload must not change what callers see.
-		if !reflect.DeepEqual(tf, shared) {
-			t.Fatalf("shared decode diverged:\n  copy:   %#v\n  shared: %#v", tf, shared)
+		if !reflect.DeepEqual(*tf, into) {
+			t.Fatalf("DecodeTransportInto over a used record diverged:\n  shared: %#v\n  into:   %#v", *tf, into)
 		}
-		if len(shared.Payload) > 0 && &shared.Payload[0] != &b[len(b)-len(shared.Payload)] {
+		if len(tf.Payload) > 0 && &tf.Payload[0] != &b[len(b)-len(tf.Payload)] {
 			t.Fatal("DecodeTransportShared copied the payload")
 		}
 		enc := frame.EncodeTransport(tf)
 		if len(enc) != tf.WireSize() {
 			t.Fatalf("WireSize %d != encoded length %d", tf.WireSize(), len(enc))
 		}
-		tf2, err := frame.DecodeTransport(enc)
+		tf2, err := frame.DecodeTransportShared(enc)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -304,7 +310,7 @@ func FuzzTransportRoundTrip(f *testing.F) {
 func TestCapturedCorpusDecodes(t *testing.T) {
 	kinds := map[frame.TransportKind]int{}
 	for _, raw := range capturedFrames(t) {
-		tf, err := frame.DecodeTransport(raw)
+		tf, err := frame.DecodeTransportShared(raw)
 		if err != nil {
 			t.Fatalf("captured frame does not decode: %v", err)
 		}
@@ -322,8 +328,8 @@ func TestCapturedCorpusDecodes(t *testing.T) {
 
 // TestCapturedWindowCorpusDecodes pins the windowed capture rig: every
 // tapped frame decodes, re-encodes byte-identically (the codec is
-// canonical on real traffic), and the shared decoder agrees with the
-// copying one while aliasing rather than copying fragment payloads. Unlike
+// canonical on real traffic), and the shared decoder aliases fragment
+// payloads rather than copying them. Unlike
 // DATA frames, a fragment's payload is a chunk of a larger message, so it
 // is deliberately NOT fed to frame.Decode here. The capture must exhibit
 // the full fragment vocabulary — first/middle/FragEnd fragments, urgent
@@ -333,19 +339,11 @@ func TestCapturedWindowCorpusDecodes(t *testing.T) {
 	kinds := map[frame.TransportKind]int{}
 	ends, urgents, piggy := 0, 0, 0
 	for _, raw := range capturedWindowFrames(t) {
-		tf, err := frame.DecodeTransport(raw)
+		tf, err := frame.DecodeTransportShared(raw)
 		if err != nil {
 			t.Fatalf("captured frame does not decode: %v", err)
 		}
-		shared, err := frame.DecodeTransportShared(raw)
-		if err != nil {
-			t.Fatalf("shared decode rejected a frame the copying decoder accepted: %v", err)
-		}
-		if !reflect.DeepEqual(tf, shared) {
-			t.Fatalf("shared decode diverged on captured %s:\n  copy:   %#v\n  shared: %#v",
-				tf.Kind, tf, shared)
-		}
-		if len(shared.Payload) > 0 && &shared.Payload[0] != &raw[len(raw)-len(shared.Payload)] {
+		if len(tf.Payload) > 0 && &tf.Payload[0] != &raw[len(raw)-len(tf.Payload)] {
 			t.Fatalf("DecodeTransportShared copied a %s payload", tf.Kind)
 		}
 		if enc := frame.EncodeTransport(tf); !bytes.Equal(enc, raw) {
@@ -384,7 +382,7 @@ func TestCapturedSackCorpusDecodes(t *testing.T) {
 	fragSeqSeen := map[uint8]int{}
 	retrans := 0
 	for _, raw := range capturedSackFrames(t) {
-		tf, err := frame.DecodeTransport(raw)
+		tf, err := frame.DecodeTransportShared(raw)
 		if err != nil {
 			t.Fatalf("captured frame does not decode: %v", err)
 		}

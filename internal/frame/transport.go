@@ -198,25 +198,11 @@ func AppendTransport(dst []byte, f *TransportFrame) []byte {
 	return append(dst, f.Payload...)
 }
 
-// DecodeTransport parses a frame produced by EncodeTransport. The returned
-// frame's Payload is a fresh copy, independent of b.
-func DecodeTransport(b []byte) (*TransportFrame, error) {
-	f, err := DecodeTransportShared(b)
-	if err != nil || f.Payload == nil {
-		return f, err
-	}
-	//lint:allow noalloc (cold: copying DecodeTransport only; the hot path uses DecodeTransportInto)
-	p := make([]byte, len(f.Payload))
-	copy(p, f.Payload)
-	f.Payload = p
-	return f, nil
-}
-
-// DecodeTransportShared is DecodeTransport without the payload copy: the
-// returned frame's Payload aliases b, which is safe because the wire
-// buffer is immutable by contract (the bus shares one buffer among all
-// receivers and observers). Callers must treat Payload as read-only and
-// must not retain it past the buffer's lifetime.
+// DecodeTransportShared parses a frame produced by EncodeTransport. It
+// does not copy the payload: the returned frame's Payload aliases b, which
+// is safe because the wire buffer is immutable by contract (the bus shares
+// one buffer among all receivers and observers). Callers must treat
+// Payload as read-only and must not retain it past the buffer's lifetime.
 func DecodeTransportShared(b []byte) (*TransportFrame, error) {
 	f := new(TransportFrame)
 	if err := DecodeTransportInto(f, b); err != nil {
@@ -225,7 +211,7 @@ func DecodeTransportShared(b []byte) (*TransportFrame, error) {
 	return f, nil
 }
 
-// CheckTransport reports the error DecodeTransport would return for b
+// CheckTransport reports the error DecodeTransportShared would return for b
 // without building a frame, for observers that judge the wire bytes but
 // keep nothing of them.
 //

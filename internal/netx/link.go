@@ -1,23 +1,17 @@
 package netx
 
-import (
-	"soda/internal/bus"
-	"soda/internal/frame"
-)
+import "soda/internal/frame"
 
 // link is one local node's attachment to the socket medium: netx's
 // counterpart of bus.Iface. All methods run on the driver goroutine (they
 // are called from transport code inside kernel events), so up needs no
-// lock; the shared counters go through the network's stats mutex.
+// lock.
 type link struct {
 	n    *Network
 	mid  frame.MID
 	recv func(raw []byte)
 	up   bool
 }
-
-// MID reports the link's machine id.
-func (l *link) MID() frame.MID { return l.mid }
 
 // Send transmits one encoded transport frame (wire.Iface). A down link's
 // sends vanish, matching the simulated bus's crashed-kernel semantics.
@@ -31,23 +25,3 @@ func (l *link) Send(dst frame.MID, raw []byte) {
 // Down detaches the receiver (crash); Up re-attaches it (reboot).
 func (l *link) Down() { l.up = false }
 func (l *link) Up()   { l.up = true }
-
-func (l *link) count(f func(s *bus.Stats)) {
-	l.n.statsMu.Lock()
-	f(&l.n.stats)
-	l.n.statsMu.Unlock()
-}
-
-// Transport-attributed counters (wire.Iface): same buckets as the
-// simulated bus, so Stats reads identically on either backend.
-func (l *link) CountRetransmission()      { l.count(func(s *bus.Stats) { s.Retransmissions++ }) }
-func (l *link) CountPiggybackedAck()      { l.count(func(s *bus.Stats) { s.PiggybackedAcks++ }) }
-func (l *link) CountPeerDeadTimeout()     { l.count(func(s *bus.Stats) { s.PeerDeadTimeouts++ }) }
-func (l *link) CountPatternTableFull()    { l.count(func(s *bus.Stats) { s.PatternTableFull++ }) }
-func (l *link) CountWindowFill()          { l.count(func(s *bus.Stats) { s.WindowFills++ }) }
-func (l *link) CountCumulativeAck()       { l.count(func(s *bus.Stats) { s.CumulativeAcks++ }) }
-func (l *link) CountFragmentRetransmit()  { l.count(func(s *bus.Stats) { s.FragmentRetransmits++ }) }
-func (l *link) CountSelectiveRetransmit() { l.count(func(s *bus.Stats) { s.SelectiveRetransmits++ }) }
-func (l *link) CountSackBlocks(n int)     { l.count(func(s *bus.Stats) { s.SackBlocksSent += uint64(n) }) }
-func (l *link) CountWindowIncrease()      { l.count(func(s *bus.Stats) { s.WindowIncreases++ }) }
-func (l *link) CountWindowDecrease()      { l.count(func(s *bus.Stats) { s.WindowDecreases++ }) }

@@ -6,9 +6,10 @@
 // The seam sits exactly where the thesis puts the communications adaptor's
 // wire side: an endpoint attaches at its machine id and receives raw
 // encoded transport frames; sending is fire-and-forget (the medium may
-// drop, the transport's Delta-t machinery recovers). The Count* methods
-// feed the medium's traffic counters so bus.Stats attribution works the
-// same on both backends.
+// drop, the transport's Delta-t machinery recovers). The seam carries
+// frames and nothing else: what the transport does with them (its
+// retransmissions, acknowledgements and window moves) it counts in its own
+// ledger (deltat.Ledger), so the medium counts only what it carries.
 package wire
 
 import "soda/internal/frame"
@@ -26,20 +27,6 @@ type Iface interface {
 	Down()
 	// Up re-attaches the receiver after Down.
 	Up()
-
-	// Transport-attributed traffic counters (DESIGN.md §5): the transport
-	// calls these so per-run stats land in the medium's counter block.
-	CountRetransmission()
-	CountPiggybackedAck()
-	CountPeerDeadTimeout()
-	CountPatternTableFull()
-	CountWindowFill()
-	CountCumulativeAck()
-	CountFragmentRetransmit()
-	CountSelectiveRetransmit()
-	CountSackBlocks(n int)
-	CountWindowIncrease()
-	CountWindowDecrease()
 }
 
 // Network is a frame-carrying medium a transport endpoint can attach to.

@@ -788,25 +788,48 @@ func alignLeft(b []byte, start, width int) []byte {
 	return b
 }
 
-// Stats returns the bus traffic counters; on a segmented network, the sum
-// over every segment.
+// Stats returns the medium's traffic counters (on a segmented network,
+// the sum over every segment) with the nodes' own counts added: each
+// endpoint's transport ledger and each kernel's pattern-table rejections.
+// It may be called from any goroutine while a socket network runs.
 func (nw *Network) Stats() BusStats {
-	if nw.nx != nil {
-		return nw.nx.Stats()
+	var st BusStats
+	switch {
+	case nw.nx != nil:
+		st = nw.nx.Stats()
+	case nw.inet == nil:
+		st = nw.b.Stats()
+	default:
+		for _, b := range nw.buses {
+			st.Add(b.Stats())
+		}
 	}
-	if nw.inet == nil {
-		return nw.b.Stats()
+	//lint:allow mapiterorder (sums of counters are order-insensitive)
+	for _, n := range nw.nodes {
+		l := n.TransportLedger()
+		st.Retransmissions += l.Retransmissions.Load()
+		st.PiggybackedAcks += l.PiggybackedAcks.Load()
+		st.PeerDeadTimeouts += l.PeerDeadTimeouts.Load()
+		st.PatternTableFull += n.PatternTableFull().Load()
+		st.WindowFills += l.WindowFills.Load()
+		st.CumulativeAcks += l.CumulativeAcks.Load()
+		st.FragmentRetransmits += l.FragmentRetransmits.Load()
+		st.SelectiveRetransmits += l.SelectiveRetransmits.Load()
+		st.SackBlocksSent += l.SackBlocksSent.Load()
+		st.WindowIncreases += l.WindowIncreases.Load()
+		st.WindowDecreases += l.WindowDecreases.Load()
 	}
-	var agg BusStats
-	for _, b := range nw.buses {
-		agg.Add(b.Stats())
-	}
-	return agg
+	return st
 }
 
-// ResetStats zeroes the bus counters — every segment's, and the gateway
-// layer's — for measurement windows.
+// ResetStats zeroes every counter Stats reports — every segment's, the
+// nodes' and the gateway layer's — for measurement windows.
 func (nw *Network) ResetStats() {
+	//lint:allow mapiterorder (zeroing counters is order-insensitive)
+	for _, n := range nw.nodes {
+		n.TransportLedger().Reset()
+		n.PatternTableFull().Store(0)
+	}
 	if nw.nx != nil {
 		nw.nx.ResetStats()
 		return
